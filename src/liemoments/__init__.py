@@ -41,17 +41,14 @@ from .montecarlo import (
     estimate_ratio,
 )
 from .partitions import Partition, even_partitions_of, partitions_of, sgn, sub_splittings, z
-from .sampling import HaarSample, eval_phi, eval_trace_product, half_spectrum, sample
 from .szego import (
     FourierData,
     SchurSpecialization,
-    WeylProduct,
     expect_phi_series,
     johansson_limit,
     ratio_schur_specialization,
     twisted_asymptotic,
     weyl_dimension,
-    weyl_product,
 )
 
 __version__ = "0.1.0"
@@ -66,7 +63,6 @@ __all__ = [
     "Family",
     "FourierData",
     "GroupSpec",
-    "HaarSample",
     "LieMomentsError",
     "MCEstimate",
     "Partition",
@@ -80,7 +76,6 @@ __all__ = [
     "TraceProductObservable",
     "TwistedObservable",
     "TwistedPhiObservable",
-    "WeylProduct",
     "BranchingTarget",
     "branching_decomposition",
     "character_table",
@@ -88,8 +83,6 @@ __all__ = [
     "estimate",
     "estimate_many",
     "estimate_ratio",
-    "eval_phi",
-    "eval_trace_product",
     "even_partitions_of",
     "expect_phi_series",
     "expect_trace_product",
@@ -97,7 +90,6 @@ __all__ = [
     "fpf_involutions_lds",
     "g_bruteforce",
     "g_closed",
-    "half_spectrum",
     "hyperoctahedral_sum",
     "induction_product",
     "inner_product",
@@ -108,13 +100,11 @@ __all__ = [
     "partitions_of",
     "power_sum_expansion",
     "ratio_schur_specialization",
-    "sample",
     "schur_product",
     "sgn",
     "sub_splittings",
     "tensor_sign",
     "twisted_asymptotic",
     "weyl_dimension",
-    "weyl_product",
     "z",
 ]

@@ -38,7 +38,7 @@ from .montecarlo import (
 from .partitions import Partition, partitions_of
 from .szego import FourierData, SchurSpecialization, johansson_limit, twisted_asymptotic
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class CLIError(Exception):

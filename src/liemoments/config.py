@@ -19,15 +19,10 @@ ENV_DEFAULT_SAMPLES = "LIEMOMENTS_DEFAULT_SAMPLES"
 
 @dataclass(frozen=True)
 class Tolerances:
-    # residual thresholds for sample validation
-    unitarity: float = 1e-10
-    determinant: float = 1e-8
-    trace_imag: float = 1e-8
-    # spectral post-processing
-    pairing: float = 1e-6
-    spectrum_match: float = 1e-6
-    char_consistency: float = 1e-6
-    denominator_min: float = 1e-12
+    # a sample is redrawn when any of these checks fails
+    trace_imag: float = 1e-8  # imaginary part of a power trace
+    pairing: float = 1e-6  # conjugate pairing of the eigenvalues
+    denominator_min: float = 1e-12  # floor on the Weyl denominator
 
     def as_dict(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -32,10 +32,6 @@ class Family(enum.Enum):
             ) from None
 
     @property
-    def is_orthogonal(self) -> bool:
-        return self is not Family.SP
-
-    @property
     def epsilon(self) -> int:
         """Sign exponent in the closed-form average: 1 for Sp, 0 for SO."""
         return 1 if self is Family.SP else 0

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,16 +244,10 @@ def sample_values(
 
     workers = threads if threads is not None else (os.cpu_count() or 1)
     workers = max(1, min(workers, len(ranges)))
-    if workers == 1:
-        results = map(work, ranges)
-        for i0, i1, (block, ndeg) in results:
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for i0, i1, (block, ndeg) in (pool.map if pool else map)(work, ranges):
             values[:, i0:i1] = block
             degenerate += ndeg
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i0, i1, (block, ndeg) in pool.map(work, ranges):
-                values[:, i0:i1] = block
-                degenerate += ndeg
 
     if degenerate > DEGENERACY_BUDGET * samples:
         raise DegeneracyError(

@@ -18,20 +18,16 @@ Constructions:
   the antiunitary map x -> J conj(x), and that is equivalent to the
   symplectic condition g J g^T = J for this J, so no basis change is needed
   afterwards.  Orthogonalization is two-pass classical Gram-Schmidt, whose
-  residuals are far below the 1e-10 validation threshold.
+  residuals sit at rounding level (the tests hold them below 1e-10).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import DegeneracyError
 from .groups import Family, GroupSpec
 from .partitions import Partition
-from .szego import FourierData
 
 _MASK64 = (1 << 64) - 1
 
@@ -54,14 +50,8 @@ def _so_batch(m: int, rngs) -> np.ndarray:
     q = q * d[:, None, :]
     neg = np.linalg.det(q) < 0
     if np.any(neg):
-        q[neg] = q[neg][:, :, _swap_first_two(m)]
+        q[neg] = q[neg][:, :, [1, 0, *range(2, m)]]  # swap the first two columns
     return q
-
-
-def _swap_first_two(m: int) -> np.ndarray:
-    perm = np.arange(m)
-    perm[0], perm[1] = 1, 0
-    return perm
 
 
 def _quaternion_partner(v: np.ndarray) -> np.ndarray:
@@ -89,8 +79,7 @@ def _sp_batch(n: int, rngs) -> np.ndarray:
                 col = col - np.einsum("bij,bj->bi", basis, overlaps)
         norm = np.linalg.norm(col, axis=1, keepdims=True)
         # norm ~ 0 would mean 2k Gaussian vectors were linearly dependent
-        # (probability 0); division by a denormal would still be caught by
-        # the unitarity residual check downstream.
+        # (probability 0).
         col = col / norm
         g[:, :, k] = col
         g[:, :, n + k] = _quaternion_partner(col)
@@ -107,103 +96,7 @@ def sample_matrices(G: GroupSpec, rngs) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# single-sample interface
-
-
-class HaarSample:
-    """One group element with cached trace powers and validation residuals."""
-
-    __slots__ = ("group", "matrix", "_powers", "_traces")
-
-    def __init__(self, group: GroupSpec, matrix: np.ndarray):
-        self.group = group
-        self.matrix = matrix
-        self._powers = {1: matrix}
-        self._traces: dict[int, complex] = {}
-
-    def _power(self, i: int) -> np.ndarray:
-        p = self._powers.get(i)
-        if p is None:
-            p = self._power(i - 1) @ self.matrix
-            self._powers[i] = p
-        return p
-
-    def trace_power(self, i: int, *, tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
-        if i < 1:
-            raise ValueError(f"trace power index must be positive, got {i}")
-        t = self._traces.get(i)
-        if t is None:
-            t = complex(np.trace(self._power(i)))
-            self._traces[i] = t
-        if abs(t.imag) > tolerances.trace_imag:
-            raise DegeneracyError(
-                f"trace of power {i} has imaginary residual {abs(t.imag):.3e}"
-            )
-        return t.real
-
-    def residuals(self) -> dict[str, float]:
-        """Validation residuals; all should sit at rounding level."""
-        g = self.matrix
-        m = g.shape[0]
-        eye = np.eye(m)
-        out = {
-            "unitarity": float(np.max(np.abs(g @ np.conj(g.T) - eye))),
-        }
-        if self.group.family is Family.SP:
-            n = self.group.rank
-            j = np.zeros((m, m))
-            j[:n, n:] = -np.eye(n)
-            j[n:, :n] = np.eye(n)
-            out["symplectic"] = float(np.max(np.abs(g @ j @ g.T - j)))
-        else:
-            out["orthogonality"] = float(np.max(np.abs(g @ g.T - eye)))
-            out["determinant"] = float(abs(np.linalg.det(g) - 1.0))
-        return out
-
-    def validate(self, tolerances: Tolerances = DEFAULT_TOLERANCES) -> None:
-        res = self.residuals()
-        checks = {
-            "unitarity": tolerances.unitarity,
-            "orthogonality": tolerances.unitarity,
-            "symplectic": tolerances.unitarity,
-            "determinant": tolerances.determinant,
-        }
-        for name, value in res.items():
-            if value > checks[name]:
-                raise DegeneracyError(f"{name} residual {value:.3e} exceeds tolerance")
-
-
-def sample(G: GroupSpec, rng: np.random.Generator) -> HaarSample:
-    """One Haar draw.  The generator is consumed; repeated calls continue
-    its stream (that is what the resample-on-degeneracy path relies on)."""
-    return HaarSample(G, sample_matrices(G, [rng])[0])
-
-
-def eval_trace_product(s: HaarSample, lam: Partition) -> float:
-    out = 1.0
-    for part in lam.parts:
-        out *= s.trace_power(part)
-    return out
-
-
-def eval_phi(s: HaarSample, f: FourierData) -> float:
-    n = s.group.rank
-    exponent = n * float(f.c0)
-    for i, c in f.coeffs.items():
-        exponent += float(c) * s.trace_power(i)
-    return float(np.exp(exponent))
-
-
-# ---------------------------------------------------------------------------
 # spectra
-
-
-@dataclass(frozen=True)
-class HalfSpectrum:
-    """One angle per conjugate eigenvalue pair, ascending in [0, pi]."""
-
-    angles: tuple[float, ...]
-    pairing_residual: float
 
 
 def half_spectrum_batch(mats: np.ndarray, family: Family) -> tuple[np.ndarray, np.ndarray]:
@@ -232,33 +125,8 @@ def half_spectrum_batch(mats: np.ndarray, family: Family) -> tuple[np.ndarray, n
     return angles, residual
 
 
-def half_spectrum(
-    s: HaarSample, *, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> HalfSpectrum:
-    angles, residual = half_spectrum_batch(s.matrix[None, :, :], s.group.family)
-    res = float(residual[0])
-    if res > tolerances.pairing:
-        raise DegeneracyError(
-            f"conjugate pairing residual {res:.3e} exceeds {tolerances.pairing:.1e}; resample"
-        )
-    return HalfSpectrum(tuple(float(a) for a in angles[0]), res)
-
-
-def reconstruct_spectrum(h: HalfSpectrum, family: Family) -> np.ndarray:
-    """Full eigenvalue multiset implied by the half spectrum."""
-    t = np.exp(1j * np.asarray(h.angles))
-    values = np.concatenate([t, np.conj(t)])
-    if family is Family.SO_ODD:
-        values = np.append(values, 1.0 + 0.0j)
-    return values
-
-
 # ---------------------------------------------------------------------------
 # Weyl character evaluation on angles
-
-
-def _batch_det(matrix: np.ndarray) -> np.ndarray:
-    return np.linalg.det(matrix)
 
 
 def weyl_character_batch(
@@ -266,7 +134,6 @@ def weyl_character_batch(
     gamma: Partition,
     angles: np.ndarray,
     *,
-    negative_last: bool = False,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Character values on a stack of half spectra.
@@ -274,120 +141,38 @@ def weyl_character_batch(
     Returns (complex values, degenerate mask).  Degenerate means the Weyl
     denominator fell below the configured floor, where the ratio loses all
     significance; callers resample those rows.
-
-    negative_last flips the sign of the last exponent, selecting the
-    mirror-image label for the even orthogonal family (only meaningful
-    there, and only when the label has full length).
     """
     n = angles.shape[1]
     if gamma.length > n:
         raise ValueError(f"label {gamma} is longer than the rank {n}")
-    if negative_last and family is not Family.SO_EVEN:
-        raise ValueError("negative last part only exists for the even orthogonal family")
     parts = list(gamma.parts) + [0] * (n - gamma.length)
 
-    if family is Family.SP:
-        a = np.array([parts[j] + n - j for j in range(n)], dtype=float)
-        bexp = np.array([n - j for j in range(n)], dtype=float)
-        num = _batch_det(np.sin(angles[:, :, None] * a[None, None, :]))
-        den = _batch_det(np.sin(angles[:, :, None] * bexp[None, None, :]))
+    if family is not Family.SO_EVEN:
+        # symplectic and odd orthogonal: ratio of sine alternants, with the
+        # odd orthogonal exponents shifted down by 1/2
+        shift = 0.5 if family is Family.SO_ODD else 0.0
+        a = np.array([parts[j] + n - j - shift for j in range(n)])
+        bexp = np.array([n - j - shift for j in range(n)])
+        num = np.linalg.det(np.sin(angles[:, :, None] * a[None, None, :]))
+        den = np.linalg.det(np.sin(angles[:, :, None] * bexp[None, None, :]))
         bad = np.abs(den) < tolerances.denominator_min
         values = np.where(bad, 1.0, num / np.where(bad, 1.0, den)).astype(np.complex128)
         return values, bad
 
-    if family is Family.SO_ODD:
-        a = np.array([parts[j] + n - j - 0.5 for j in range(n)])
-        bexp = np.array([n - j - 0.5 for j in range(n)])
-        num = _batch_det(np.sin(angles[:, :, None] * a[None, None, :]))
-        den = _batch_det(np.sin(angles[:, :, None] * bexp[None, None, :]))
-        bad = np.abs(den) < tolerances.denominator_min
-        values = np.where(bad, 1.0, num / np.where(bad, 1.0, den)).astype(np.complex128)
-        return values, bad
-
-    # even orthogonal: signed character as (detCos +/- i^n detSin)/detCos
+    # even orthogonal: signed character as (detCos + i^n detSin)/detCos
     a = np.array([parts[j] + (n - 1 - j) for j in range(n)], dtype=float)
-    if negative_last:
-        a[-1] = -parts[n - 1]
     bexp = np.array([n - 1 - j for j in range(n)], dtype=float)
-    det_cos_a = _batch_det(np.cos(angles[:, :, None] * a[None, None, :]))
-    det_sin_a = _batch_det(np.sin(angles[:, :, None] * a[None, None, :]))
-    det_cos_b = _batch_det(np.cos(angles[:, :, None] * bexp[None, None, :]))
+    det_cos_a = np.linalg.det(np.cos(angles[:, :, None] * a[None, None, :]))
+    det_sin_a = np.linalg.det(np.sin(angles[:, :, None] * a[None, None, :]))
+    det_cos_b = np.linalg.det(np.cos(angles[:, :, None] * bexp[None, None, :]))
     bad = np.abs(det_cos_b) < tolerances.denominator_min
     safe = np.where(bad, 1.0, det_cos_b)
     values = (det_cos_a + (1j**n) * det_sin_a) / safe
     return np.where(bad, 1.0, values), bad
 
 
-def eval_weyl_character(
-    family: Family,
-    gamma: Partition,
-    h: HalfSpectrum,
-    *,
-    negative_last: bool = False,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
-    """Character value on one half spectrum, as a real number.
-
-    Raises on degenerate denominators (caller resamples) and on values with
-    a genuinely large imaginary part, which can only happen for even
-    orthogonal labels of full length; request those through
-    eval_orthogonal_pair instead.
-    """
-    angles = np.asarray(h.angles)[None, :]
-    values, bad = weyl_character_batch(
-        family, gamma, angles, negative_last=negative_last, tolerances=tolerances
-    )
-    if bool(bad[0]):
-        raise DegeneracyError("Weyl denominator below the significance floor; resample")
-    value = complex(values[0])
-    if abs(value.imag) > tolerances.char_consistency * max(1.0, abs(value.real)):
-        raise ValueError(
-            f"character value {value} is not real; use eval_orthogonal_pair "
-            "for full-length even orthogonal labels"
-        )
-    return value.real
-
-
-def eval_orthogonal_pair(
-    gamma: Partition, h: HalfSpectrum, *, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[complex, complex]:
-    """The two mirror-image even orthogonal character values (plus, minus)."""
-    angles = np.asarray(h.angles)[None, :]
-    plus, bad1 = weyl_character_batch(
-        Family.SO_EVEN, gamma, angles, tolerances=tolerances
-    )
-    minus, bad2 = weyl_character_batch(
-        Family.SO_EVEN, gamma, angles, negative_last=True, tolerances=tolerances
-    )
-    if bool(bad1[0]) or bool(bad2[0]):
-        raise DegeneracyError("Weyl denominator below the significance floor; resample")
-    return complex(plus[0]), complex(minus[0])
-
-
-def eval_orthogonal_unsigned(
-    gamma: Partition, h: HalfSpectrum, *, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> float:
-    """Even orthogonal restriction character: sum of the two mirror images
-    when the label has full length, the single character otherwise.
-
-    Computed directly from the cosine determinants, which gives a check
-    independent of the plus/minus decomposition.
-    """
-    n = len(h.angles)
-    angles = np.asarray(h.angles)[None, :]
-    parts = list(gamma.parts) + [0] * (n - gamma.length)
-    a = np.array([parts[j] + (n - 1 - j) for j in range(n)], dtype=float)
-    bexp = np.array([n - 1 - j for j in range(n)], dtype=float)
-    det_cos_a = _batch_det(np.cos(angles[:, :, None] * a[None, None, :]))[0]
-    det_cos_b = _batch_det(np.cos(angles[:, :, None] * bexp[None, None, :]))[0]
-    if abs(det_cos_b) < tolerances.denominator_min:
-        raise DegeneracyError("Weyl denominator below the significance floor; resample")
-    scale = 2.0 if (gamma.length == n and n > 0) else 1.0
-    return float(scale * det_cos_a / det_cos_b)
-
-
 # ---------------------------------------------------------------------------
-# batched trace powers (used by the estimators)
+# batched trace powers
 
 
 def trace_powers_batch(mats: np.ndarray, pmax: int) -> tuple[np.ndarray, np.ndarray]:

@@ -5,8 +5,7 @@ Phi is the class function e^{n c0} * exp(sum_i c_i tr g^i).  This module
 holds everything about it that does not require sampling: the limiting
 ratio R of twisted to plain averages (two arithmetic forms), the closed
 asymptotic formulas for the plain average per family, a truncated exact
-series for finite rank with a rigorous tail bound, and the stable-range
-product expansion of two group characters.
+series for finite rank with a rigorous tail bound, and Weyl dimensions.
 
 Convention: the asymptotic limit formulas describe E[Phi]/e^{n c0}; the
 normalization is systematically reported, never silently mixed.
@@ -23,7 +22,6 @@ from .errors import ConsistencyError
 from .expectations import expect_twisted
 from .groups import Family, GroupSpec
 from .characters import character_value
-from .lr import schur_product
 from .partitions import Partition, partitions_of, z
 
 
@@ -346,26 +344,3 @@ def weyl_dimension(family: Family, n: int, gamma: Partition) -> int:
         out *= 2
     return out
 
-
-@dataclass(frozen=True)
-class WeylProduct:
-    """Stable-range product expansion of two group characters.
-
-    The expansion chi_mu * chi_nu = sum c^lam_{mu,nu} chi_lam holds verbatim
-    only when the rank is at least min_valid_rank; below that (and for the
-    even orthogonal family at the boundary) the labels would need folding,
-    so consumers must check valid_for first.
-    """
-
-    coeffs: Mapping[Partition, int]
-    min_valid_rank: int
-
-    def valid_for(self, n: int) -> bool:
-        return n >= self.min_valid_rank
-
-
-def weyl_product(mu: Partition, nu: Partition) -> WeylProduct:
-    return WeylProduct(
-        coeffs=schur_product(mu, nu),
-        min_valid_rank=mu.length + nu.length,
-    )

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the algorithms under test: characters
 come from a signed coefficient extraction instead of border strips,
 dimensions from hook lengths, decreasing-subsequence lengths from a
-quadratic scan, and induction values from splitting cycle types.
+quadratic scan, induction values from splitting cycle types, sampled
+matrices from the defining relations of their group, and the even
+orthogonal mirror-pair character from cosine determinants alone.
 """
 
 from __future__ import annotations
@@ -11,6 +13,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import permutations
+
+import numpy as np
+
+from liemoments.groups import Family
 
 
 @lru_cache(maxsize=None)
@@ -143,3 +149,55 @@ def centralizer_order(mu) -> int:
     for i, a in mults.items():
         out *= i**a * math.factorial(a)
     return out
+
+
+#: largest entrywise residual each group relation may show on a sampled matrix
+RESIDUAL_LIMITS = {
+    "unitarity": 1e-10,
+    "symplectic": 1e-10,
+    "orthogonality": 1e-10,
+    "determinant": 1e-8,
+}
+
+
+def matrix_residuals(family: Family, mats: np.ndarray) -> dict[str, np.ndarray]:
+    """Residual of each defining relation, one value per matrix of a stack:
+    g g* = I for all; g J g^T = J with J = [[0,-I],[I,0]] for Sp(2n);
+    g g^T = I and det g = 1 for SO(m)."""
+    m = mats.shape[-1]
+    eye = np.eye(m)
+
+    def worst(diff):
+        return np.max(np.abs(diff), axis=(1, 2))
+
+    out = {"unitarity": worst(mats @ np.conj(np.swapaxes(mats, 1, 2)) - eye)}
+    if family is Family.SP:
+        n = m // 2
+        j = np.zeros((m, m))
+        j[:n, n:] = -np.eye(n)
+        j[n:, :n] = np.eye(n)
+        out["symplectic"] = worst(mats @ j @ np.swapaxes(mats, 1, 2) - j)
+    else:
+        out["orthogonality"] = worst(mats @ np.swapaxes(mats, 1, 2) - eye)
+        out["determinant"] = np.abs(np.linalg.det(mats) - 1.0)
+    return out
+
+
+def orthogonal_mirror_sum(gamma: tuple[int, ...], angles: np.ndarray) -> np.ndarray:
+    """Even orthogonal restriction character on a stack of half spectra:
+    the sum of the two mirror images when the label has full length, the
+    single character otherwise.
+
+    Computed from the cosine determinants alone, so it does not depend on
+    the signed (plus) evaluation or on the sine determinant.
+    """
+    n = angles.shape[1]
+    parts = list(gamma) + [0] * (n - len(gamma))
+    a = np.array([parts[j] + (n - 1 - j) for j in range(n)], dtype=float)
+    bexp = np.array([n - 1 - j for j in range(n)], dtype=float)
+    det_cos_a = np.linalg.det(np.cos(angles[:, :, None] * a[None, None, :]))
+    det_cos_b = np.linalg.det(np.cos(angles[:, :, None] * bexp[None, None, :]))
+    if np.any(np.abs(det_cos_b) < 1e-12):
+        raise ValueError("Weyl denominator below the significance floor")
+    scale = 2.0 if (len(gamma) == n and n > 0) else 1.0
+    return scale * det_cos_a / det_cos_b

@@ -17,6 +17,7 @@ import pytest
 from oracles import frobenius_character
 
 from liemoments.characters import character_table
+from liemoments.config import DEFAULT_TOLERANCES
 from liemoments.errors import StableRangeError
 from liemoments.expectations import (
     expect_trace_product,
@@ -37,7 +38,12 @@ from liemoments.montecarlo import (
     estimate_ratio,
 )
 from liemoments.partitions import Partition, partitions_of
-from liemoments.sampling import eval_weyl_character, half_spectrum, rng_for_sample, sample
+from liemoments.sampling import (
+    half_spectrum_batch,
+    rng_for_sample,
+    sample_matrices,
+    weyl_character_batch,
+)
 from liemoments.szego import FourierData, SchurSpecialization, expect_phi_series
 
 P = Partition.parse
@@ -243,13 +249,15 @@ def test_c09_character_table_vs_polynomial_oracle(capsys):
 def test_c10_weyl_character_numerical_sanity(capsys):
     # single-box label must reproduce the plain trace on every family
     worst = 0.0
+    clean = True
     for family in FAMILIES:
         G = GroupSpec(family, 3)
-        for i in range(1000):
-            s = sample(G, rng_for_sample(91, i))
-            v = eval_weyl_character(family, P("1"), half_spectrum(s))
-            worst = max(worst, abs(v - float(np.trace(s.matrix).real)))
-    trace_ok = worst < 1e-6
+        mats = sample_matrices(G, [rng_for_sample(91, i) for i in range(1000)])
+        angles, residual = half_spectrum_batch(mats, family)
+        values, bad = weyl_character_batch(family, P("1"), angles)
+        clean = clean and residual.max() <= DEFAULT_TOLERANCES.pairing and not bad.any()
+        worst = max(worst, float(np.max(np.abs(values - np.trace(mats, axis1=1, axis2=2)))))
+    trace_ok = clean and worst < 1e-6
 
     # orthonormality of the low irreducibles under the sampled measure
     labels = [lam for k in range(1, 4) for lam in partitions_of(k)]

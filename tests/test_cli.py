@@ -58,7 +58,7 @@ def test_expect_trace_stable(capsys):
     assert doc["float"] == -1.0
     assert doc["metadata"]["stable_range"] is True
     assert doc["query"]["rank"] == "stable"
-    assert doc["metadata"]["versions"]["schema"] == 1
+    assert doc["metadata"]["versions"]["schema"] == 2
 
 
 def test_expect_trace_below_range_involution_count(capsys):
@@ -212,15 +212,7 @@ def test_mc_verify_reports_z(capsys):
     assert mc["samples"] == 4000 and mc["seed"] == 1
     assert mc["stderr"] > 0
     assert abs(mc["z"]) < 6
-    assert set(mc["tolerances"]) == {
-        "unitarity",
-        "determinant",
-        "trace_imag",
-        "pairing",
-        "spectrum_match",
-        "char_consistency",
-        "denominator_min",
-    }
+    assert set(mc["tolerances"]) == {"trace_imag", "pairing", "denominator_min"}
 
 
 def test_mc_verify_phi_has_no_reference(capsys):
@@ -340,6 +332,19 @@ def test_config_file_and_env_precedence(tmp_path, capsys, monkeypatch):
 
     doc = run_json(argv + ["--samples", "300"], capsys)
     assert doc["query"]["samples"] == 300
+
+
+def test_config_unknown_tolerance_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": {"spectrum_match": 1e-6}}))
+    code, out, err = run_cli(
+        ["mc-verify", "--group", "sp", "--n", "1", "--lambda", "1",
+         "--samples", "100", "--config", str(cfg)],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "spectrum_match" in err
 
 
 def test_env_cache_dir(tmp_path, capsys, monkeypatch):

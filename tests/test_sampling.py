@@ -5,21 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from oracles import RESIDUAL_LIMITS, matrix_residuals, orthogonal_mirror_sum
+
 from liemoments.config import DEFAULT_TOLERANCES
 from liemoments.groups import Family, GroupSpec
+from liemoments.montecarlo import PhiObservable, TraceProductObservable, _EvalContext
 from liemoments.partitions import Partition
 from liemoments.sampling import (
-    HaarSample,
-    eval_orthogonal_pair,
-    eval_orthogonal_unsigned,
-    eval_phi,
-    eval_trace_product,
-    eval_weyl_character,
-    half_spectrum,
     half_spectrum_batch,
-    reconstruct_spectrum,
     rng_for_sample,
-    sample,
     sample_matrices,
     trace_powers_batch,
     weyl_character_batch,
@@ -43,6 +37,21 @@ def _ks_statistic(values: np.ndarray, cdf) -> float:
     return max(upper, lower)
 
 
+def _draws(G, seed, count):
+    return sample_matrices(G, [rng_for_sample(seed, i) for i in range(count)])
+
+
+def _characters(G, gamma, mats):
+    """Character values through the batched path, requiring every draw to
+    pass the pairing and denominator checks and every value to be real."""
+    angles, residual = half_spectrum_batch(mats, G.family)
+    assert residual.max() <= DEFAULT_TOLERANCES.pairing
+    values, bad = weyl_character_batch(G.family, gamma, angles)
+    assert not bad.any()
+    assert np.all(np.abs(values.imag) <= 1e-6 * np.maximum(1.0, np.abs(values.real)))
+    return values.real
+
+
 def test_rng_streams_are_reproducible():
     a = rng_for_sample(5, 7).standard_normal(4)
     b = rng_for_sample(5, 7).standard_normal(4)
@@ -53,17 +62,13 @@ def test_rng_streams_are_reproducible():
 
 @pytest.mark.parametrize("G", GROUPS, ids=str)
 def test_matrix_invariants(G):
-    tol = DEFAULT_TOLERANCES
-    for i in range(40):
-        s = sample(G, rng_for_sample(123, i))
-        res = s.residuals()
-        assert res["unitarity"] < tol.unitarity
-        if G.family is Family.SP:
-            assert res["symplectic"] < tol.unitarity
-        else:
-            assert res["orthogonality"] < tol.unitarity
-            assert res["determinant"] < tol.determinant
-        s.validate()
+    res = matrix_residuals(G.family, _draws(G, 123, 40))
+    expected = {"unitarity", "symplectic" if G.family is Family.SP else "orthogonality"}
+    if G.family is not Family.SP:
+        expected.add("determinant")
+    assert set(res) == expected
+    for name, values in res.items():
+        assert values.max() < RESIDUAL_LIMITS[name], name
 
 
 @pytest.mark.parametrize("G", GROUPS, ids=str)
@@ -77,8 +82,7 @@ def test_batch_matches_single_draws(G):
 
 def test_sp_rank_one_is_su2():
     # 2x2 draws are unitary with the quaternion block structure
-    for i in range(25):
-        g = sample(GroupSpec.sp(1), rng_for_sample(3, i)).matrix
+    for g in _draws(GroupSpec.sp(1), 3, 25):
         assert g[1, 1] == pytest.approx(np.conj(g[0, 0]))
         assert g[0, 1] == pytest.approx(-np.conj(g[1, 0]))
         tr = np.trace(g)
@@ -152,120 +156,134 @@ def test_trace_powers_batch_against_plain_trace():
 
 
 def test_so2_half_spectrum_is_rotation_angle():
-    rng = rng_for_sample(11, 0)
-    s = sample(GroupSpec.so_even(1), rng)
-    h = half_spectrum(s)
-    theta = abs(math.atan2(s.matrix[1, 0], s.matrix[0, 0]))
-    assert h.angles[0] == pytest.approx(theta, abs=1e-9)
+    G = GroupSpec.so_even(1)
+    mats = _draws(G, 11, 1)
+    angles, residual = half_spectrum_batch(mats, G.family)
+    assert residual[0] <= DEFAULT_TOLERANCES.pairing
+    theta = abs(math.atan2(mats[0, 1, 0], mats[0, 0, 0]))
+    assert angles[0, 0] == pytest.approx(theta, abs=1e-9)
 
 
 @pytest.mark.parametrize("G", GROUPS, ids=str)
 def test_spectrum_reconstruction(G):
-    for i in range(10):
-        s = sample(G, rng_for_sample(31, i))
-        h = half_spectrum(s)
-        rebuilt = reconstruct_spectrum(h, G.family)
-        direct = np.linalg.eigvals(s.matrix)
+    mats = _draws(G, 31, 10)
+    angles, residual = half_spectrum_batch(mats, G.family)
+    assert residual.max() <= DEFAULT_TOLERANCES.pairing
+    assert np.all((0.0 <= angles) & (angles <= math.pi))
+    for g, h in zip(mats, angles):
+        # the half spectrum implies the eigenvalues e^{+-i h}, plus the
+        # forced +1 in odd dimension
+        t = np.exp(1j * h)
+        rebuilt = np.concatenate([t, np.conj(t)])
+        if G.family is Family.SO_ODD:
+            rebuilt = np.append(rebuilt, 1.0 + 0.0j)
+        direct = np.linalg.eigvals(g)
         # align by angle; sorting complex values directly is unstable for
         # exact-conjugate pairs whose real parts differ only by rounding
         rebuilt = rebuilt[np.argsort(np.angle(rebuilt))]
         direct = direct[np.argsort(np.angle(direct))]
         assert np.allclose(rebuilt, direct, atol=1e-6)
-        assert all(0.0 <= a <= math.pi for a in h.angles)
 
 
 def test_sp_trace_from_angles():
-    s = sample(GroupSpec.sp(2), rng_for_sample(8, 0))
-    h = half_spectrum(s)
-    assert 2 * sum(math.cos(a) for a in h.angles) == pytest.approx(
-        s.trace_power(1), abs=1e-6
-    )
+    mats = _draws(GroupSpec.sp(2), 8, 1)
+    angles, _ = half_spectrum_batch(mats, Family.SP)
+    traces, _ = trace_powers_batch(mats, 1)
+    assert 2 * np.cos(angles[0]).sum() == pytest.approx(traces[0, 0], abs=1e-6)
+
+
+def _context(G, mats, pmax):
+    traces, imag = trace_powers_batch(mats, pmax)
+    assert imag.max() <= DEFAULT_TOLERANCES.trace_imag
+    return _EvalContext(group=G, traces=traces)
 
 
 def test_eval_trace_product():
-    s = sample(GroupSpec.sp(2), rng_for_sample(12, 0))
-    assert eval_trace_product(s, P("")) == 1.0
-    t1 = s.trace_power(1)
-    assert eval_trace_product(s, P("1,1")) == pytest.approx(t1 * t1)
-    ev = np.linalg.eigvals(s.matrix)
-    assert eval_trace_product(s, P("2")) == pytest.approx(
+    G = GroupSpec.sp(2)
+    mats = _draws(G, 12, 1)
+    ctx = _context(G, mats, 2)
+    t1 = ctx.traces[0, 0]
+    assert TraceProductObservable(P("")).evaluate(ctx)[0] == 1.0
+    assert TraceProductObservable(P("1,1")).evaluate(ctx)[0] == pytest.approx(t1 * t1)
+    ev = np.linalg.eigvals(mats[0])
+    assert TraceProductObservable(P("2")).evaluate(ctx)[0] == pytest.approx(
         np.sum(ev**2).real, abs=1e-6
     )
 
 
 def test_eval_phi():
-    s = sample(GroupSpec.so_odd(2), rng_for_sample(13, 0))
-    assert eval_phi(s, FourierData({})) == 1.0
-    assert eval_phi(s, FourierData({}, c0=1, exact=False)) == pytest.approx(
-        math.exp(2.0)
+    G = GroupSpec.so_odd(2)
+    ctx = _context(G, _draws(G, 13, 1), 1)
+    assert PhiObservable(FourierData({})).evaluate(ctx)[0] == 1.0
+    assert PhiObservable(FourierData({}, c0=1, exact=False)).evaluate(ctx)[0] == (
+        pytest.approx(math.exp(2.0))
     )
     f = FourierData({1: 0.3}, exact=False)
-    assert eval_phi(s, f) == pytest.approx(math.exp(0.3 * s.trace_power(1)))
+    assert PhiObservable(f).evaluate(ctx)[0] == pytest.approx(
+        math.exp(0.3 * ctx.traces[0, 0])
+    )
 
 
 @pytest.mark.parametrize("G", GROUPS, ids=str)
 def test_character_single_box_is_trace(G):
-    for i in range(200):
-        s = sample(G, rng_for_sample(55, i))
-        h = half_spectrum(s)
-        value = eval_weyl_character(G.family, P("1"), h)
-        assert value == pytest.approx(s.trace_power(1), abs=1e-6)
+    mats = _draws(G, 55, 200)
+    traces, _ = trace_powers_batch(mats, 1)
+    values = _characters(G, P("1"), mats)
+    assert np.allclose(values, traces[:, 0], rtol=0, atol=1e-6)
 
 
 @pytest.mark.parametrize("G", GROUPS, ids=str)
 def test_character_weight_two_symmetric_functions(G):
     # chi_(2) and chi_(1,1) against explicit symmetric polynomials of the
     # full spectrum, via the branching constants
-    for i in range(60):
-        s = sample(G, rng_for_sample(56, i))
-        h = half_spectrum(s)
-        p1, p2 = s.trace_power(1), s.trace_power(2)
-        h2 = (p1 * p1 + p2) / 2
-        e2 = (p1 * p1 - p2) / 2
-        if G.family is Family.SP:
-            expected_row = h2  # s_(2) restricts irreducibly
-            expected_col = e2 - 1.0  # s_(11) sheds a trivial summand
-        else:
-            expected_row = h2 - 1.0
-            expected_col = e2
-        assert eval_weyl_character(G.family, P("2"), h) == pytest.approx(
-            expected_row, abs=1e-6
-        )
-        assert eval_weyl_character(G.family, P("1,1"), h) == pytest.approx(
-            expected_col, abs=1e-6
-        )
+    mats = _draws(G, 56, 60)
+    traces, _ = trace_powers_batch(mats, 2)
+    p1, p2 = traces[:, 0], traces[:, 1]
+    h2 = (p1 * p1 + p2) / 2
+    e2 = (p1 * p1 - p2) / 2
+    if G.family is Family.SP:
+        expected_row = h2  # s_(2) restricts irreducibly
+        expected_col = e2 - 1.0  # s_(11) sheds a trivial summand
+    else:
+        expected_row = h2 - 1.0
+        expected_col = e2
+    row = _characters(G, P("2"), mats)
+    col = _characters(G, P("1,1"), mats)
+    assert np.allclose(row, expected_row, rtol=0, atol=1e-6)
+    assert np.allclose(col, expected_col, rtol=0, atol=1e-6)
+
+
+def _mirror_pair(G, gamma, seed, count):
+    """Signed even orthogonal character and its mirror image, the latter
+    by conjugating with a reflection: on the half spectrum that negates
+    the last angle.  Returns (plus, minus, cosine-determinant sum)."""
+    mats = _draws(G, seed, count)
+    angles, residual = half_spectrum_batch(mats, G.family)
+    assert residual.max() <= DEFAULT_TOLERANCES.pairing
+    mirrored = angles.copy()
+    mirrored[:, -1] *= -1
+    plus, bad_plus = weyl_character_batch(G.family, gamma, angles)
+    minus, bad_minus = weyl_character_batch(G.family, gamma, mirrored)
+    assert not (bad_plus.any() or bad_minus.any())
+    return plus, minus, orthogonal_mirror_sum(gamma.parts, angles)
 
 
 def test_orthogonal_full_length_even_rank():
     # at even rank the two mirror characters are separately real
-    G = GroupSpec.so_even(2)
-    for i in range(30):
-        s = sample(G, rng_for_sample(57, i))
-        h = half_spectrum(s)
-        plus = eval_weyl_character(G.family, P("1,1"), h)
-        minus = eval_weyl_character(G.family, P("1,1"), h, negative_last=True)
-        unsigned = eval_orthogonal_unsigned(P("1,1"), h)
-        assert plus + minus == pytest.approx(unsigned, abs=1e-6)
+    plus, minus, unsigned = _mirror_pair(GroupSpec.so_even(2), P("1,1"), 57, 30)
+    assert np.all(np.abs(plus.imag) <= 1e-6 * np.maximum(1.0, np.abs(plus.real)))
+    assert np.all(np.abs(minus.imag) <= 1e-6 * np.maximum(1.0, np.abs(minus.real)))
+    assert np.allclose(plus.real + minus.real, unsigned, rtol=0, atol=1e-6)
 
 
 def test_orthogonal_full_length_odd_rank():
-    # at odd rank the mirror characters are complex conjugates; the signed
-    # evaluator refuses and the pair evaluator resolves it
-    G = GroupSpec.so_even(3)
-    hit_complex = False
-    for i in range(30):
-        s = sample(G, rng_for_sample(58, i))
-        h = half_spectrum(s)
-        plus, minus = eval_orthogonal_pair(P("1,1,1"), h)
-        assert plus == pytest.approx(np.conj(minus))
-        unsigned = eval_orthogonal_unsigned(P("1,1,1"), h)
-        assert (plus + minus).real == pytest.approx(unsigned, abs=1e-6)
-        assert abs((plus + minus).imag) < 1e-8
-        try:
-            eval_weyl_character(G.family, P("1,1,1"), h)
-        except ValueError:
-            hit_complex = True
-    assert hit_complex
+    # at odd rank the mirror characters are complex conjugates, and only
+    # their sum is real
+    plus, minus, unsigned = _mirror_pair(GroupSpec.so_even(3), P("1,1,1"), 58, 30)
+    assert np.allclose(plus, np.conj(minus))
+    assert np.allclose((plus + minus).real, unsigned, rtol=0, atol=1e-6)
+    assert np.all(np.abs((plus + minus).imag) < 1e-8)
+    assert np.any(np.abs(plus.imag) > 1e-6 * np.maximum(1.0, np.abs(plus.real)))
 
 
 def test_character_batch_flags_degenerate_angles():
@@ -278,15 +296,6 @@ def test_character_batch_flags_degenerate_angles():
 
 
 def test_character_label_longer_than_rank():
-    s = sample(GroupSpec.sp(2), rng_for_sample(59, 0))
-    h = half_spectrum(s)
+    angles, _ = half_spectrum_batch(_draws(GroupSpec.sp(2), 59, 1), Family.SP)
     with pytest.raises(ValueError):
-        eval_weyl_character(Family.SP, P("1,1,1"), h)
-
-
-def test_trace_power_cache_and_validation():
-    s = sample(GroupSpec.sp(2), rng_for_sample(60, 0))
-    first = s.trace_power(3)
-    assert s.trace_power(3) == first
-    with pytest.raises(ValueError):
-        s.trace_power(0)
+        weyl_character_batch(Family.SP, P("1,1,1"), angles)

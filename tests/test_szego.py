@@ -18,7 +18,6 @@ from liemoments.szego import (
     ratio_schur_specialization,
     twisted_asymptotic,
     weyl_dimension,
-    weyl_product,
 )
 
 P = Partition.parse
@@ -238,11 +237,3 @@ def test_branching_dimension_bookkeeping():
                 )
                 assert total == _gl_dimension(lam, m), (family, lam)
 
-
-def test_weyl_product_examples():
-    got = weyl_product(P("1"), P("1"))
-    assert got.coeffs == {P("2"): 1, P("1,1"): 1}
-    assert got.min_valid_rank == 2
-    assert got.valid_for(2) and not got.valid_for(1)
-    assert weyl_product(P(""), P("3,1")).coeffs == {P("3,1"): 1}
-    assert weyl_product(P("1"), P("2")).coeffs == {P("3"): 1, P("2,1"): 1}
