@@ -245,7 +245,8 @@ def sample_values(
     workers = threads if threads is not None else (os.cpu_count() or 1)
     workers = max(1, min(workers, len(ranges)))
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for i0, i1, (block, ndeg) in (pool.map if pool else map)(work, ranges):
+        mapper = pool.map if pool else map
+        for i0, i1, (block, ndeg) in mapper(work, ranges):
             values[:, i0:i1] = block
             degenerate += ndeg
 

@@ -9,7 +9,7 @@ from oracles import RESIDUAL_LIMITS, matrix_residuals, orthogonal_mirror_sum
 
 from liemoments.config import DEFAULT_TOLERANCES
 from liemoments.groups import Family, GroupSpec
-from liemoments.montecarlo import PhiObservable, TraceProductObservable, _EvalContext
+from liemoments.montecarlo import PhiObservable, TraceProductObservable, sample_values
 from liemoments.partitions import Partition
 from liemoments.sampling import (
     half_spectrum_batch,
@@ -192,36 +192,34 @@ def test_sp_trace_from_angles():
     assert 2 * np.cos(angles[0]).sum() == pytest.approx(traces[0, 0], abs=1e-6)
 
 
-def _context(G, mats, pmax):
-    traces, imag = trace_powers_batch(mats, pmax)
-    assert imag.max() <= DEFAULT_TOLERANCES.trace_imag
-    return _EvalContext(group=G, traces=traces)
-
-
 def test_eval_trace_product():
+    # sample_values needs at least 100 samples; its sample 0 is drawn from
+    # rng_for_sample(seed, 0), as _draws does
     G = GroupSpec.sp(2)
     mats = _draws(G, 12, 1)
-    ctx = _context(G, mats, 2)
-    t1 = ctx.traces[0, 0]
-    assert TraceProductObservable(P("")).evaluate(ctx)[0] == 1.0
-    assert TraceProductObservable(P("1,1")).evaluate(ctx)[0] == pytest.approx(t1 * t1)
+    traces, _ = trace_powers_batch(mats, 1)
+    t1 = traces[0, 0]
+    observables = [TraceProductObservable(P(s)) for s in ("", "1,1", "2")]
+    empty, row, col = sample_values(G, observables, 100, 12, threads=1)[:, 0]
+    assert empty == 1.0
+    assert row == pytest.approx(t1 * t1)
     ev = np.linalg.eigvals(mats[0])
-    assert TraceProductObservable(P("2")).evaluate(ctx)[0] == pytest.approx(
-        np.sum(ev**2).real, abs=1e-6
-    )
+    assert col == pytest.approx(np.sum(ev**2).real, abs=1e-6)
 
 
 def test_eval_phi():
     G = GroupSpec.so_odd(2)
-    ctx = _context(G, _draws(G, 13, 1), 1)
-    assert PhiObservable(FourierData({})).evaluate(ctx)[0] == 1.0
-    assert PhiObservable(FourierData({}, c0=1, exact=False)).evaluate(ctx)[0] == (
-        pytest.approx(math.exp(2.0))
-    )
+    traces, _ = trace_powers_batch(_draws(G, 13, 1), 1)
     f = FourierData({1: 0.3}, exact=False)
-    assert PhiObservable(f).evaluate(ctx)[0] == pytest.approx(
-        math.exp(0.3 * ctx.traces[0, 0])
-    )
+    observables = [
+        PhiObservable(FourierData({})),
+        PhiObservable(FourierData({}, c0=1, exact=False)),
+        PhiObservable(f),
+    ]
+    trivial, constant, linear = sample_values(G, observables, 100, 13, threads=1)[:, 0]
+    assert trivial == 1.0
+    assert constant == pytest.approx(math.exp(2.0))
+    assert linear == pytest.approx(math.exp(0.3 * traces[0, 0]))
 
 
 @pytest.mark.parametrize("G", GROUPS, ids=str)
@@ -280,7 +278,7 @@ def test_orthogonal_full_length_odd_rank():
     # at odd rank the mirror characters are complex conjugates, and only
     # their sum is real
     plus, minus, unsigned = _mirror_pair(GroupSpec.so_even(3), P("1,1,1"), 58, 30)
-    assert np.allclose(plus, np.conj(minus))
+    assert plus == pytest.approx(np.conj(minus))
     assert np.allclose((plus + minus).real, unsigned, rtol=0, atol=1e-6)
     assert np.all(np.abs((plus + minus).imag) < 1e-8)
     assert np.any(np.abs(plus.imag) > 1e-6 * np.maximum(1.0, np.abs(plus.real)))
