@@ -38,7 +38,7 @@ from .montecarlo import (
 from .partitions import Partition, partitions_of
 from .szego import FourierData, SchurSpecialization, johansson_limit, twisted_asymptotic
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class CLIError(Exception):
@@ -51,9 +51,7 @@ _CONV_EXACT = (
 _CONV_RANK = "rank n means matrix size 2n for sp and so-even, and 2n+1 for so-odd"
 _CONV_RATIO = "the limiting twisted ratio does not depend on the group family"
 _CONV_ASYMP = (
-    "limits are for the average of exp(sum_i c_i tr(g^i)) divided by exp(n*c0); "
-    "the so-odd value follows the reduced-symbol convention that omits the fixed "
-    "+1 eigenvalue, so the full-trace limit equals it times exp(sum_i c_i)"
+    "limits are for the average of exp(sum_i c_i tr(g^i)) divided by exp(n*c0)"
 )
 _CONV_MC = (
     "each sample is a pure function of (seed, sample index); estimates do not "
@@ -127,7 +125,7 @@ def _rank_echo(G: GroupSpec):
 def cmd_expect_trace(args, settings: Settings) -> dict:
     G = _parse_group(args.group, args.rank)
     lam = Partition.parse(args.lam)
-    value = expect_trace_product(G, lam, use_rains=not args.no_rains)
+    value = expect_trace_product(G, lam)
     query = {
         "command": "expect-trace",
         "group": G.family.value,
@@ -486,11 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, help="sp, so-even or so-odd")
     p.add_argument("--rank", default="stable", help="positive integer or 'stable'")
     p.add_argument("--lambda", dest="lam", required=True, metavar="PARTITION")
-    p.add_argument(
-        "--no-rains",
-        action="store_true",
-        help="refuse below-stable-range all-ones queries instead of counting involutions",
-    )
     p.set_defaults(handler=cmd_expect_trace)
 
     p = sub.add_parser(

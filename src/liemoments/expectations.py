@@ -29,7 +29,7 @@ from .characters import (
     power_sum_expansion,
 )
 from .errors import ConsistencyError, StableRangeError
-from .groups import Family, GroupSpec
+from .groups import Family, GroupSpec, mirror_factor
 from .matchings import fpf_involutions_lds, g_closed
 from .partitions import Partition, partitions_of, sgn, sub_splittings
 
@@ -52,20 +52,18 @@ def _plain_average_stable(family: Family, lam: Partition) -> int:
     return value
 
 
-def expect_trace_product(
-    G: GroupSpec, lam: Partition, *, use_rains: bool = True
-) -> int:
+def expect_trace_product(G: GroupSpec, lam: Partition) -> int:
     """Exact average of prod_i tr(g^{lam_i}) over G.
 
     Valid whenever the rank covers the weight.  The one handled exception
     below the stable range is Sp with lam = (1,...,1), where the average of
     (tr g)^k counts fixed-point-free involutions with longest decreasing
-    subsequence at most 2n; pass use_rains=False to refuse that branch too.
+    subsequence at most 2n.
     """
     k = lam.weight
     if G.covers_weight(k):
         return _plain_average_stable(G.family, lam)
-    if use_rains and G.family is Family.SP and lam.parts == (1,) * k:
+    if G.family is Family.SP and lam.parts == (1,) * k:
         return fpf_involutions_lds(k, 2 * G.rank)
     _require_stable(G, k)
     raise AssertionError("unreachable")
@@ -120,6 +118,12 @@ def expect_twisted(
 
     Route B is the production path; verify=True recomputes through route A
     and raises ConsistencyError on any disagreement.
+
+    On SO(2n) both routes average the O(2n) character.  For a full-length
+    label that is the mirror sum, which det maps to itself, so the SO(2n)
+    average E_O[chi p] + E_O[det chi p] is twice the routes' value
+    (`mirror_factor`); for other labels the det twin has length
+    2n - l(gamma) > n and averages to zero in the stable range.
     """
     b = expect_twisted_route_b(G, gamma, lam)
     if verify:
@@ -129,4 +133,4 @@ def expect_twisted(
                 f"twisted-average routes disagree for {G}, gamma={gamma}, "
                 f"lam={lam}: induced-character sum gives {a}, splitting sum {b}"
             )
-    return b
+    return b * mirror_factor(G.family, G.rank, gamma)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
+
+from .partitions import Partition
 
 
 class Family(enum.Enum):
@@ -104,3 +107,29 @@ class GroupSpec:
             Family.SO_EVEN: f"SO({2 * self.rank})",
             Family.SO_ODD: f"SO({2 * self.rank + 1})",
         }[self.family]
+
+
+def weyl_exponents(
+    family: Family, n: int, gamma: Partition
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], int]:
+    """Weyl data (a, b, mirror) of the label gamma at rank n: b_j = n - j - s
+    and a_j = gamma_j + b_j for j = 1..n, with the shift s = 0 for Sp(2n),
+    1/2 for SO(2n+1) and 1 for SO(2n).  The character on the half spectrum
+    is mirror * det trig(theta_i a_j) / det trig(theta_i b_j), with cos for
+    SO(2n) and sin otherwise.
+    """
+    if gamma.length > n:
+        raise ValueError(f"label {gamma} is longer than the rank {n}")
+    shift = {Family.SP: 0, Family.SO_ODD: Fraction(1, 2), Family.SO_EVEN: 1}[family]
+    parts = list(gamma.parts) + [0] * (n - gamma.length)
+    b = tuple(Fraction(n - j) - shift for j in range(n))
+    a = tuple(p + bj for p, bj in zip(parts, b))
+    return a, b, mirror_factor(family, n, gamma)
+
+
+def mirror_factor(family: Family, n: int | None, gamma: Partition) -> int:
+    """2 for an SO(2n) label of full length n, else 1 (also for the stable
+    group, n = None).  Such a label names the sum of the two mirror-image
+    irreducibles, the O(2n) character restricted, and the cosine ratio of
+    `weyl_exponents` is half of that sum."""
+    return 2 if family is Family.SO_EVEN and gamma.length == n and n > 0 else 1

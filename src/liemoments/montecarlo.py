@@ -103,7 +103,7 @@ class TwistedObservable:
         return (self.gamma,)
 
     def evaluate(self, ctx: _EvalContext) -> np.ndarray:
-        out = ctx.chars[self.gamma].real.copy()
+        out = ctx.chars[self.gamma]
         for p in self.lam.parts:
             out = out * ctx.traces[:, p - 1]
         return out
@@ -148,7 +148,7 @@ class TwistedPhiObservable:
         return (self.gamma,)
 
     def evaluate(self, ctx: _EvalContext) -> np.ndarray:
-        return ctx.chars[self.gamma].real * PhiObservable(self.f).evaluate(ctx)
+        return ctx.chars[self.gamma] * PhiObservable(self.f).evaluate(ctx)
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ class CharacterProductObservable:
         return (self.gamma, self.mu) if self.gamma != self.mu else (self.gamma,)
 
     def evaluate(self, ctx: _EvalContext) -> np.ndarray:
-        return ctx.chars[self.gamma].real * ctx.chars[self.mu].real
+        return ctx.chars[self.gamma] * ctx.chars[self.mu]
 
 
 def _chunk_block(G, observables, seed, i0, i1, pmax, labels, tolerances):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .groups import Family, GroupSpec
+from .groups import Family, GroupSpec, weyl_exponents
 from .partitions import Partition
 
 _MASK64 = (1 << 64) - 1
@@ -136,39 +136,19 @@ def weyl_character_batch(
     *,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Character values on a stack of half spectra.
+    """Character values on a stack of half spectra, by the Weyl character
+    formula with the exponents and mirror factor of `weyl_exponents`.
 
-    Returns (complex values, degenerate mask).  Degenerate means the Weyl
+    Returns (real values, degenerate mask).  Degenerate means the Weyl
     denominator fell below the configured floor, where the ratio loses all
     significance; callers resample those rows.
     """
-    n = angles.shape[1]
-    if gamma.length > n:
-        raise ValueError(f"label {gamma} is longer than the rank {n}")
-    parts = list(gamma.parts) + [0] * (n - gamma.length)
-
-    if family is not Family.SO_EVEN:
-        # symplectic and odd orthogonal: ratio of sine alternants, with the
-        # odd orthogonal exponents shifted down by 1/2
-        shift = 0.5 if family is Family.SO_ODD else 0.0
-        a = np.array([parts[j] + n - j - shift for j in range(n)])
-        bexp = np.array([n - j - shift for j in range(n)])
-        num = np.linalg.det(np.sin(angles[:, :, None] * a[None, None, :]))
-        den = np.linalg.det(np.sin(angles[:, :, None] * bexp[None, None, :]))
-        bad = np.abs(den) < tolerances.denominator_min
-        values = np.where(bad, 1.0, num / np.where(bad, 1.0, den)).astype(np.complex128)
-        return values, bad
-
-    # even orthogonal: signed character as (detCos + i^n detSin)/detCos
-    a = np.array([parts[j] + (n - 1 - j) for j in range(n)], dtype=float)
-    bexp = np.array([n - 1 - j for j in range(n)], dtype=float)
-    det_cos_a = np.linalg.det(np.cos(angles[:, :, None] * a[None, None, :]))
-    det_sin_a = np.linalg.det(np.sin(angles[:, :, None] * a[None, None, :]))
-    det_cos_b = np.linalg.det(np.cos(angles[:, :, None] * bexp[None, None, :]))
-    bad = np.abs(det_cos_b) < tolerances.denominator_min
-    safe = np.where(bad, 1.0, det_cos_b)
-    values = (det_cos_a + (1j**n) * det_sin_a) / safe
-    return np.where(bad, 1.0, values), bad
+    a, b, mirror = weyl_exponents(family, angles.shape[1], gamma)
+    trig = np.cos if family is Family.SO_EVEN else np.sin
+    num = np.linalg.det(trig(angles[:, :, None] * np.array(a, dtype=float)))
+    den = np.linalg.det(trig(angles[:, :, None] * np.array(b, dtype=float)))
+    bad = np.abs(den) < tolerances.denominator_min
+    return np.where(bad, 1.0, mirror * num / np.where(bad, 1.0, den)), bad
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 
 from .errors import ConsistencyError
 from .expectations import expect_twisted
-from .groups import Family, GroupSpec
+from .groups import Family, GroupSpec, weyl_exponents
 from .characters import character_value
 from .partitions import Partition, partitions_of, z
 
@@ -212,14 +212,13 @@ class SchurSpecialization:
 def johansson_limit(family: Family, f: FourierData) -> float:
     """Limit of E[Phi]/e^{n c0} as the rank grows, per family.
 
-    Returns exp(sum i*c_i^2/2 + L) with the linear term L equal to
-    -sum c_odd for SO-odd, -sum c_even for Sp, +sum c_even for SO-even.
+    Phi takes full traces, so on SO(2n+1) it includes the fixed eigenvalue
+    +1.  Returns exp(sum i*c_i^2/2 + L) with the linear term L equal to
+    -sum c_even for Sp and +sum c_even for both orthogonal families.
     """
     quad = sum(i * float(c) ** 2 for i, c in f.coeffs.items()) / 2.0
     even = sum(float(c) for i, c in f.coeffs.items() if i % 2 == 0)
-    odd = sum(float(c) for i, c in f.coeffs.items() if i % 2 == 1)
-    linear = {Family.SO_ODD: -odd, Family.SP: -even, Family.SO_EVEN: even}[family]
-    return math.exp(quad + linear)
+    return math.exp(quad - even if family is Family.SP else quad + even)
 
 
 def twisted_asymptotic(family: Family, gamma: Partition, f: FourierData) -> float:
@@ -306,41 +305,29 @@ def expect_phi_series(
 
 
 def weyl_dimension(family: Family, n: int, gamma: Partition) -> int:
-    """Dimension of the irreducible representation labeled gamma, by the
-    classical product formulas in exact rational arithmetic.
+    """Dimension of the representation labeled gamma, by the classical
+    product formulas over the exponents of `weyl_exponents`, in exact
+    rational arithmetic.
 
-    For the even orthogonal family with l(gamma) = n the value is doubled:
-    that is the dimension of the restriction character summing the two
-    mirror-image irreducibles, which is the object this package evaluates.
+    For the even orthogonal family with l(gamma) = n this is the dimension
+    of the mirror-image sum, twice that of either irreducible.
     """
-    if gamma.length > n:
-        raise ValueError(f"label {gamma} is longer than the rank {n}")
-    parts = list(gamma.parts) + [0] * (n - gamma.length)
-
-    if family is Family.SP:
-        l = [parts[i] + n - i for i in range(n)]
-        rho = [n - i for i in range(n)]
-    elif family is Family.SO_ODD:
-        # half-integer entries doubled so everything stays integral
-        l = [2 * parts[i] + 2 * (n - i) - 1 for i in range(n)]
-        rho = [2 * (n - i) - 1 for i in range(n)]
-    else:
-        l = [parts[i] + n - i - 1 for i in range(n)]
-        rho = [n - i - 1 for i in range(n)]
-
-    dim = Fraction(1)
+    a, b, mirror = weyl_exponents(family, n, gamma)
+    # the formula is homogeneous of degree 0 in the exponents, and doubled
+    # they are integers on every family, so the products stay integral
+    a = [int(2 * x) for x in a]
+    b = [int(2 * x) for x in b]
+    num = den = 1
     for i in range(n):
         for j in range(i + 1, n):
-            dim *= Fraction(l[i] ** 2 - l[j] ** 2, rho[i] ** 2 - rho[j] ** 2)
+            num *= a[i] ** 2 - a[j] ** 2
+            den *= b[i] ** 2 - b[j] ** 2
     if family is not Family.SO_EVEN:
-        for i in range(n):
-            dim *= Fraction(l[i], rho[i])
-    if dim.denominator != 1:
+        num *= math.prod(a)
+        den *= math.prod(b)
+    if num % den:
         raise ConsistencyError(
-            f"dimension formula produced non-integer {dim} for {family}, n={n}, {gamma}"
+            f"dimension formula produced non-integer {Fraction(num, den)} "
+            f"for {family}, n={n}, {gamma}"
         )
-    out = int(dim)
-    if family is Family.SO_EVEN and gamma.length == n and n > 0:
-        out *= 2
-    return out
-
+    return mirror * (num // den)

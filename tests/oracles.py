@@ -4,8 +4,10 @@ Everything here deliberately avoids the algorithms under test: characters
 come from a signed coefficient extraction instead of border strips,
 dimensions from hook lengths, decreasing-subsequence lengths from a
 quadratic scan, induction values from splitting cycle types, sampled
-matrices from the defining relations of their group, and the even
-orthogonal mirror-pair character from cosine determinants alone.
+matrices from the defining relations of their group, and Haar averages
+from the Weyl integration formula on the maximal torus, with the even
+orthogonal mirror sum taken as an elementary symmetric function of the
+eigenvalues instead of a ratio of Weyl determinants.
 """
 
 from __future__ import annotations
@@ -183,21 +185,45 @@ def matrix_residuals(family: Family, mats: np.ndarray) -> dict[str, np.ndarray]:
     return out
 
 
-def orthogonal_mirror_sum(gamma: tuple[int, ...], angles: np.ndarray) -> np.ndarray:
-    """Even orthogonal restriction character on a stack of half spectra:
-    the sum of the two mirror images when the label has full length, the
-    single character otherwise.
+def torus_average(
+    family: Family, n: int, lam: tuple[int, ...], *, twist_en: bool = False
+) -> float:
+    """Haar average of prod_i tr(g^{lam_i}) over Sp(2n), SO(2n) or SO(2n+1),
+    optionally times e_n of the 2n eigenvalues e^{+-i theta_j}, by the Weyl
+    integration formula on the maximal torus.
 
-    Computed from the cosine determinants alone, so it does not depend on
-    the signed (plus) evaluation or on the sine determinant.
+    The density is prod_{i<j} (cos theta_i - cos theta_j)^2, times
+    prod sin^2 theta_i for Sp and prod sin^2(theta_i / 2) for SO(2n+1).
+    Every factor is a trigonometric polynomial, of degree at most
+    2n + |lam| + 1 in each angle, so the trapezoid rule with more points per
+    axis than that is exact up to rounding.  On SO(2n), e_n is the O(2n)
+    character of (1^n) restricted, i.e. the sum of the two mirror-image
+    irreducibles, and no Weyl determinant enters.
     """
-    n = angles.shape[1]
-    parts = list(gamma) + [0] * (n - len(gamma))
-    a = np.array([parts[j] + (n - 1 - j) for j in range(n)], dtype=float)
-    bexp = np.array([n - 1 - j for j in range(n)], dtype=float)
-    det_cos_a = np.linalg.det(np.cos(angles[:, :, None] * a[None, None, :]))
-    det_cos_b = np.linalg.det(np.cos(angles[:, :, None] * bexp[None, None, :]))
-    if np.any(np.abs(det_cos_b) < 1e-12):
-        raise ValueError("Weyl denominator below the significance floor")
-    scale = 2.0 if (len(gamma) == n and n > 0) else 1.0
-    return scale * det_cos_a / det_cos_b
+    points = 2 * n + sum(lam) + 2
+    grid = 2 * np.pi * np.arange(points) / points
+    theta = np.meshgrid(*[grid] * n, indexing="ij", sparse=True)
+    cos = [np.cos(t) for t in theta]
+    density = np.ones((points,) * n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            density = density * (cos[i] - cos[j]) ** 2
+    for c in cos:
+        if family is Family.SP:
+            density = density * (1.0 - c * c)
+        elif family is Family.SO_ODD:
+            density = density * (1.0 - c)  # 2 sin^2(theta/2); constants cancel
+    value = density
+    fixed = 1.0 if family is Family.SO_ODD else 0.0
+    for k in lam:
+        value = value * (fixed + sum(2.0 * np.cos(k * t) for t in theta))
+    if twist_en:
+        # coefficient of x^n in prod_j (1 + 2 cos(theta_j) x + x^2)
+        e = [1.0] + [0.0] * n
+        for c in cos:
+            e = [e[0]] + [
+                e[r] + 2.0 * c * e[r - 1] + (e[r - 2] if r >= 2 else 0.0)
+                for r in range(1, n + 1)
+            ]
+        value = value * e[n]
+    return float(value.sum() / density.sum())

@@ -73,9 +73,6 @@ def test_below_stable_range_refused():
         expect_trace_product(GroupSpec.sp(1), P("2,2"))
     with pytest.raises(StableRangeError):
         expect_trace_product(GroupSpec.so_odd(2), P("3,1"))
-    # all-ones is refused too once the fallback is disabled
-    with pytest.raises(StableRangeError):
-        expect_trace_product(GroupSpec.sp(1), P("1,1,1,1"), use_rains=False)
     # orthogonal groups have no fallback at all
     with pytest.raises(StableRangeError):
         expect_trace_product(GroupSpec.so_even(1), P("1,1,1,1"))

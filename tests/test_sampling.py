@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import RESIDUAL_LIMITS, matrix_residuals, orthogonal_mirror_sum
+from oracles import RESIDUAL_LIMITS, matrix_residuals
 
 from liemoments.config import DEFAULT_TOLERANCES
 from liemoments.groups import Family, GroupSpec
@@ -43,13 +43,13 @@ def _draws(G, seed, count):
 
 def _characters(G, gamma, mats):
     """Character values through the batched path, requiring every draw to
-    pass the pairing and denominator checks and every value to be real."""
+    pass the pairing and denominator checks and the values to be real."""
     angles, residual = half_spectrum_batch(mats, G.family)
     assert residual.max() <= DEFAULT_TOLERANCES.pairing
     values, bad = weyl_character_batch(G.family, gamma, angles)
     assert not bad.any()
-    assert np.all(np.abs(values.imag) <= 1e-6 * np.maximum(1.0, np.abs(values.real)))
-    return values.real
+    assert values.dtype == np.float64
+    return values
 
 
 def test_rng_streams_are_reproducible():
@@ -251,44 +251,23 @@ def test_character_weight_two_symmetric_functions(G):
     assert np.allclose(col, expected_col, rtol=0, atol=1e-6)
 
 
-def _mirror_pair(G, gamma, seed, count):
-    """Signed even orthogonal character and its mirror image, the latter
-    by conjugating with a reflection: on the half spectrum that negates
-    the last angle.  Returns (plus, minus, cosine-determinant sum)."""
-    mats = _draws(G, seed, count)
-    angles, residual = half_spectrum_batch(mats, G.family)
-    assert residual.max() <= DEFAULT_TOLERANCES.pairing
-    mirrored = angles.copy()
-    mirrored[:, -1] *= -1
-    plus, bad_plus = weyl_character_batch(G.family, gamma, angles)
-    minus, bad_minus = weyl_character_batch(G.family, gamma, mirrored)
-    assert not (bad_plus.any() or bad_minus.any())
-    return plus, minus, orthogonal_mirror_sum(gamma.parts, angles)
-
-
-def test_orthogonal_full_length_even_rank():
-    # at even rank the two mirror characters are separately real
-    plus, minus, unsigned = _mirror_pair(GroupSpec.so_even(2), P("1,1"), 57, 30)
-    assert np.all(np.abs(plus.imag) <= 1e-6 * np.maximum(1.0, np.abs(plus.real)))
-    assert np.all(np.abs(minus.imag) <= 1e-6 * np.maximum(1.0, np.abs(minus.real)))
-    assert np.allclose(plus.real + minus.real, unsigned, rtol=0, atol=1e-6)
-
-
-def test_orthogonal_full_length_odd_rank():
-    # at odd rank the mirror characters are complex conjugates, and only
-    # their sum is real
-    plus, minus, unsigned = _mirror_pair(GroupSpec.so_even(3), P("1,1,1"), 58, 30)
-    assert plus == pytest.approx(np.conj(minus))
-    assert np.allclose((plus + minus).real, unsigned, rtol=0, atol=1e-6)
-    assert np.all(np.abs((plus + minus).imag) < 1e-8)
-    assert np.any(np.abs(plus.imag) > 1e-6 * np.maximum(1.0, np.abs(plus.real)))
+@pytest.mark.parametrize("n, seed", [(2, 57), (3, 58)])
+def test_orthogonal_full_length_is_mirror_sum(n, seed):
+    # a full-length even orthogonal label names the sum of the two
+    # mirror-image irreducibles, the O(2n) character of (1^n) restricted:
+    # e_n of the 2n eigenvalues
+    G = GroupSpec.so_even(n)
+    mats = _draws(G, seed, 30)
+    values = _characters(G, Partition([1] * n), mats)
+    e_n = np.array([(-1) ** n * np.poly(ev)[n] for ev in np.linalg.eigvals(mats)])
+    assert np.allclose(values, e_n, rtol=0, atol=1e-6)
 
 
 def test_character_batch_flags_degenerate_angles():
     angles = np.array([[0.0, 0.0], [0.3, 1.1]])
     values, bad = weyl_character_batch(Family.SP, P("1"), angles)
     assert bad[0] and not bad[1]
-    assert values[1].real == pytest.approx(
+    assert values[1] == pytest.approx(
         2 * (math.cos(0.3) + math.cos(1.1)), abs=1e-9
     )
 

@@ -113,7 +113,7 @@ def test_ratio_multiplicative_under_lr():
 def test_johansson_limits():
     f = FourierData({1: 0.3}, exact=False)
     assert johansson_limit(Family.SP, f) == pytest.approx(math.exp(0.045))
-    assert johansson_limit(Family.SO_ODD, f) == pytest.approx(math.exp(-0.255))
+    assert johansson_limit(Family.SO_ODD, f) == pytest.approx(math.exp(0.045))
     assert johansson_limit(Family.SO_EVEN, f) == pytest.approx(math.exp(0.045))
     zero = FourierData({})
     for family in Family:
@@ -128,8 +128,13 @@ def test_johansson_log_identity_even_support():
         johansson_limit(Family.SP, f)
     )
     assert lhs == pytest.approx(quad)
-    # and so-odd has no linear term at all in this case
-    assert johansson_limit(Family.SO_ODD, f) == pytest.approx(math.exp(quad / 2))
+    # full traces: the fixed eigenvalue +1 of so-odd adds sum c_i to the
+    # exponent, so so-odd has the so-even limit
+    assert johansson_limit(Family.SO_ODD, f) == pytest.approx(
+        math.exp(quad / 2 + 0.125)
+    )
+    g = FourierData({1: 0.3, 2: 0.25}, exact=False)
+    assert johansson_limit(Family.SO_ODD, g) == johansson_limit(Family.SO_EVEN, g)
 
 
 def test_twisted_asymptotic():
