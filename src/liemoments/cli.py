@@ -38,7 +38,9 @@ from .montecarlo import (
 from .partitions import Partition, partitions_of
 from .szego import FourierData, SchurSpecialization, johansson_limit, twisted_asymptotic
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
+#: mc-verify reports agreement with the exact reference when |z| <= this.
+AGREE_Z = 4.0
 
 
 class CLIError(Exception):
@@ -336,6 +338,7 @@ def cmd_mc_verify(args, settings: Settings) -> dict:
     }
     if reference is not None and est.stderr > 0:
         mc["z"] = (est.mean - float(reference)) / est.stderr
+        mc["agree"] = abs(mc["z"]) <= AGREE_Z
     stable = (
         G.covers_weight(observable_weight) if observable_weight is not None else False
     )
@@ -413,7 +416,7 @@ def _print_pretty(doc: dict) -> None:
         mc = doc["mc"]
         line = f"mc: mean={mc['mean']:.6g} stderr={mc['stderr']:.3g} samples={mc['samples']} seed={mc['seed']}"
         if "z" in mc:
-            line += f" z={mc['z']:+.2f}"
+            line += f" z={mc['z']:+.2f} agree={str(mc['agree']).lower()}"
         print(line)
     if "expansion" in doc:
         print("expansion:")

@@ -4,7 +4,8 @@ Everything here deliberately avoids the algorithms under test: characters
 come from a signed coefficient extraction instead of border strips,
 dimensions from hook lengths, decreasing-subsequence lengths from a
 quadratic scan, induction values from splitting cycle types, sampled
-matrices from the defining relations of their group, and Haar averages
+matrices from the defining relations of their group, per-sample random
+streams from a Generator built afresh for each sample, and Haar averages
 from the Weyl integration formula on the maximal torus, with the even
 orthogonal mirror sum taken as an elementary symmetric function of the
 eigenvalues instead of a ratio of Weyl determinants.
@@ -183,6 +184,14 @@ def matrix_residuals(family: Family, mats: np.ndarray) -> dict[str, np.ndarray]:
         out["orthogonality"] = worst(mats @ np.swapaxes(mats, 1, 2) - eye)
         out["determinant"] = np.abs(np.linalg.det(mats) - 1.0)
     return out
+
+
+def reference_generator(seed: int, index: int) -> np.random.Generator:
+    """Sample `index`'s stream as a Generator of its own: Philox keyed by
+    (seed, index) reduced mod 2^64, the construction the sampler re-keys."""
+    mask = (1 << 64) - 1
+    key = np.array([seed & mask, index & mask], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def torus_average(

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -64,7 +65,7 @@ def test_expect_trace_stable(capsys):
     assert doc["float"] == -1.0
     assert doc["metadata"]["stable_range"] is True
     assert doc["query"]["rank"] == "stable"
-    assert doc["metadata"]["versions"]["schema"] == 3
+    assert doc["metadata"]["versions"]["schema"] == 4
 
 
 def test_expect_trace_below_range_involution_count(capsys):
@@ -178,29 +179,42 @@ def test_g_methods(capsys):
     assert doc["metadata"]["stable_range"] is True
 
 
+MC_VERIFY_SP2 = [
+    "mc-verify",
+    "--group",
+    "sp",
+    "--n",
+    "1",
+    "--lambda",
+    "1,1,1,1",
+    "--samples",
+    "4000",
+    "--seed",
+    "1",
+]
+
+
 def test_mc_verify_reports_z(capsys):
-    doc = run_json(
-        [
-            "mc-verify",
-            "--group",
-            "sp",
-            "--n",
-            "1",
-            "--lambda",
-            "1,1,1,1",
-            "--samples",
-            "4000",
-            "--seed",
-            "1",
-        ],
-        capsys,
-    )
+    doc = run_json(MC_VERIFY_SP2, capsys)
     assert doc["exact"] == {"numerator": "2", "denominator": "1"}
     mc = doc["mc"]
     assert mc["samples"] == 4000 and mc["seed"] == 1
     assert mc["stderr"] > 0
     assert abs(mc["z"]) < 6
+    assert mc["agree"] is True
     assert set(mc["tolerances"]) == {"trace_imag", "pairing", "denominator_min"}
+
+
+def test_mc_verify_disagrees_with_wrong_reference(capsys, monkeypatch):
+    # the true value is 2; a reference of 3 sits about 20 stderr away
+    monkeypatch.setattr(
+        "liemoments.cli.expect_trace_product", lambda G, lam: Fraction(3)
+    )
+    code, out, _ = run_cli(MC_VERIFY_SP2, capsys)
+    assert code == 0
+    mc = json.loads(out)["mc"]
+    assert mc["z"] < -4
+    assert mc["agree"] is False
 
 
 def test_mc_verify_phi_has_no_reference(capsys):
@@ -220,6 +234,7 @@ def test_mc_verify_phi_has_no_reference(capsys):
     )
     assert "exact" not in doc
     assert "z" not in doc["mc"]
+    assert "agree" not in doc["mc"]
     assert doc["metadata"]["stable_range"] is False
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from liemoments import montecarlo
 from liemoments.config import DEFAULT_TOLERANCES
 from liemoments.errors import DegeneracyError
 from liemoments.groups import GroupSpec
@@ -18,6 +19,7 @@ from liemoments.montecarlo import (
     TraceProductObservable,
     TwistedObservable,
     TwistedPhiObservable,
+    _chunk_block,
     estimate,
     estimate_many,
     estimate_ratio,
@@ -168,3 +170,65 @@ def test_impossible_tolerance_aborts():
             seed=0,
             tolerances=tol,
         )
+
+
+# Tolerances tight enough to send about 1% of draws back for a redraw, each
+# with a milder one that stays under the degeneracy budget, and the float.hex
+# of the block sum over samples [100, 1100) at seed 5 with the forcing one.
+FORCED_REDRAWS = [
+    pytest.param(
+        GroupSpec.sp(4),
+        TraceProductObservable(P("2,1")),
+        ("trace_imag", 2.1e-16, 2.5e-16),
+        "0x1.0d5f9cc65df51p+6",
+        id="sp8-trace_imag",
+    ),
+    pytest.param(
+        GroupSpec.sp(4),
+        TwistedObservable(P("1"), P("1")),
+        ("pairing", 3.2e-15, 4e-15),
+        "0x1.05a2b9d5f0806p+10",
+        id="sp8-pairing",
+    ),
+    pytest.param(
+        GroupSpec.so_odd(3),
+        TwistedObservable(P("1,1"), P("1")),
+        ("denominator_min", 0.3, 0.2),
+        "0x1.70c0a317b35c4p+4",
+        id="so7-denominator",
+    ),
+]
+
+
+@pytest.mark.parametrize("G, obs, tolerance, block_sum", FORCED_REDRAWS)
+def test_forced_redraws_are_pinned(G, obs, tolerance, block_sum):
+    """Redraws continue each sample's stream: the redrawn block is pinned bit
+    for bit, and the thread count still cannot change any sample."""
+    name, forcing, mild = tolerance
+    tol = dataclasses.replace(DEFAULT_TOLERANCES, **{name: forcing})
+    labels = list(obs.characters())
+    block, redrawn = _chunk_block(G, [obs], 5, 100, 1100, obs.max_power(), labels, tol)
+    assert redrawn > 0
+    assert float(block.sum()).hex() == block_sum
+
+    tol = dataclasses.replace(DEFAULT_TOLERANCES, **{name: mild})
+    a = sample_values(G, [obs], 9000, seed=5, threads=1, tolerances=tol)
+    b = sample_values(G, [obs], 9000, seed=5, threads=2, tolerances=tol)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, sample_values(G, [obs], 9000, seed=5, threads=1))
+
+
+def test_names_the_bench_tracer_rebinds_exist():
+    """`bench/mc.py:install_tracing` rebinds these names of the montecarlo
+    module to time each stage, so renaming or deleting one breaks every
+    traced benchmark run; this makes it fail here first.  Drop this test
+    when the timing spans move into the package (ROADMAP item 5)."""
+    for name in (
+        "rng_for_sample",
+        "sample_matrices",
+        "trace_powers_batch",
+        "half_spectrum_batch",
+        "weyl_character_batch",
+        "sample_values",
+    ):
+        assert callable(getattr(montecarlo, name, None)), name

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import RESIDUAL_LIMITS, matrix_residuals
+from oracles import RESIDUAL_LIMITS, matrix_residuals, reference_generator
 
 from liemoments.config import DEFAULT_TOLERANCES
 from liemoments.groups import Family, GroupSpec
 from liemoments.montecarlo import PhiObservable, TraceProductObservable, sample_values
 from liemoments.partitions import Partition
 from liemoments.sampling import (
+    _normals,
     half_spectrum_batch,
     rng_for_sample,
     sample_matrices,
@@ -53,11 +54,29 @@ def _characters(G, gamma, mats):
 
 
 def test_rng_streams_are_reproducible():
-    a = rng_for_sample(5, 7).standard_normal(4)
-    b = rng_for_sample(5, 7).standard_normal(4)
-    c = rng_for_sample(5, 8).standard_normal(4)
+    a = _normals([rng_for_sample(5, 7)], (4,))
+    b = _normals([rng_for_sample(5, 7)], (4,))
+    c = _normals([rng_for_sample(5, 8)], (4,))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed", [0, 5, -1, 2**63 + 3])
+@pytest.mark.parametrize("shape", [(6, 6), (2, 6, 3)], ids=["so", "sp"])
+def test_normals_follow_reference_generator(seed, shape):
+    """Each handle reads its own Philox stream, and a handle read again
+    (as a redraw does) continues that stream where the last read stopped."""
+    indices = [0, 1, 9, 4095]
+    streams = [rng_for_sample(seed, i) for i in indices]
+    first = _normals(streams, shape)
+    again = _normals(streams[1::2], shape)
+    refs = [reference_generator(seed, i) for i in indices]
+    for row, ref in zip(first, refs):
+        assert np.array_equal(row, ref.standard_normal(shape))
+    for row, ref in zip(again, refs[1::2]):
+        assert np.array_equal(row, ref.standard_normal(shape))
+    size = math.prod(shape)
+    assert [s.used for s in streams] == [size, 2 * size, size, 2 * size]
 
 
 @pytest.mark.parametrize("G", GROUPS, ids=str)
