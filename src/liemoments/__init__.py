@@ -9,14 +9,12 @@ from .characters import (
     ClassFunction,
     character_table,
     character_value,
-    hyperoctahedral_sum,
     induction_product,
     inner_product,
     irreducible,
     power_sum_expansion,
-    tensor_sign,
 )
-from .config import DEFAULT_TOLERANCES, Settings, Tolerances, load_settings
+from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     ConsistencyError,
     DegeneracyError,
@@ -70,7 +68,6 @@ __all__ = [
     "RatioEstimate",
     "ResourceBoundError",
     "SchurSpecialization",
-    "Settings",
     "StableRangeError",
     "Tolerances",
     "TraceProductObservable",
@@ -90,12 +87,10 @@ __all__ = [
     "fpf_involutions_lds",
     "g_bruteforce",
     "g_closed",
-    "hyperoctahedral_sum",
     "induction_product",
     "inner_product",
     "irreducible",
     "johansson_limit",
-    "load_settings",
     "lr_coefficient",
     "partitions_of",
     "power_sum_expansion",
@@ -103,7 +98,6 @@ __all__ = [
     "schur_product",
     "sgn",
     "sub_splittings",
-    "tensor_sign",
     "twisted_asymptotic",
     "weyl_dimension",
     "z",

@@ -6,18 +6,24 @@ across runs and platforms: keys are sorted, separators fixed, and the
 metadata block contains no host-specific data.  Exit codes: 2 for parse
 or domain errors, 3 for queries outside the stable range (with a pointer
 to mc-verify), 4 for internal consistency faults.
+
+Flags are the only input.  Each command accepts just the flags it reads,
+plus `--pretty`, so a flag given to any other command is a parse error:
+`--samples`, `--seed` and `--threads` belong to mc-verify, `--cache-dir`
+(default `$LIEMOMENTS_CACHE_DIR`) to char-table.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .characters import character_table
-from .config import Settings, load_settings
+from .config import DEFAULT_TOLERANCES
 from .errors import (
     ConsistencyError,
     DegeneracyError,
@@ -39,6 +45,8 @@ from .partitions import Partition, partitions_of
 from .szego import FourierData, SchurSpecialization, johansson_limit, twisted_asymptotic
 
 SCHEMA_VERSION = 4
+#: Default of `char-table --cache-dir`.
+ENV_CACHE_DIR = "LIEMOMENTS_CACHE_DIR"
 #: mc-verify reports agreement with the exact reference when |z| <= this.
 AGREE_Z = 4.0
 
@@ -124,7 +132,7 @@ def _rank_echo(G: GroupSpec):
 # command handlers
 
 
-def cmd_expect_trace(args, settings: Settings) -> dict:
+def cmd_expect_trace(args) -> dict:
     G = _parse_group(args.group, args.rank)
     lam = Partition.parse(args.lam)
     value = expect_trace_product(G, lam)
@@ -142,7 +150,7 @@ def cmd_expect_trace(args, settings: Settings) -> dict:
     )
 
 
-def cmd_expect_twisted(args, settings: Settings) -> dict:
+def cmd_expect_twisted(args) -> dict:
     G = _parse_group(args.group, args.rank)
     gamma = Partition.parse(args.gamma)
     lam = Partition.parse(args.lam)
@@ -163,7 +171,7 @@ def cmd_expect_twisted(args, settings: Settings) -> dict:
     )
 
 
-def cmd_ratio(args, settings: Settings) -> dict:
+def cmd_ratio(args) -> dict:
     gamma = Partition.parse(args.gamma)
     f = FourierData.parse(args.coeffs)
     spec = SchurSpecialization.compute(gamma, f, verify=args.verify)
@@ -178,7 +186,7 @@ def cmd_ratio(args, settings: Settings) -> dict:
     return _result(query, float_value=float(spec.value), conventions=[_CONV_RATIO])
 
 
-def cmd_asymptotics(args, settings: Settings) -> dict:
+def cmd_asymptotics(args) -> dict:
     family = Family.parse(args.family)
     f = FourierData.parse(args.coeffs)
     query = {
@@ -195,7 +203,7 @@ def cmd_asymptotics(args, settings: Settings) -> dict:
     return _result(query, float_value=value, conventions=[_CONV_ASYMP])
 
 
-def cmd_branch(args, settings: Settings) -> dict:
+def cmd_branch(args) -> dict:
     text = args.family.strip().lower()
     family = Family.SO_EVEN if text == "so" else Family.parse(text)
     lam = Partition.parse(args.lam)
@@ -216,11 +224,11 @@ def cmd_branch(args, settings: Settings) -> dict:
     )
 
 
-def cmd_char_table(args, settings: Settings) -> dict:
+def cmd_char_table(args) -> dict:
     k = args.k
     if k < 0:
         raise CLIError(f"k must be non-negative, got {k}")
-    table = character_table(k, cache_dir=settings.cache_dir)
+    table = character_table(k, cache_dir=args.cache_dir)
     query = {"command": "char-table", "k": k}
     payload = {
         "k": k,
@@ -236,7 +244,7 @@ def cmd_char_table(args, settings: Settings) -> dict:
     )
 
 
-def cmd_lr(args, settings: Settings) -> dict:
+def cmd_lr(args) -> dict:
     lam = Partition.parse(args.lam)
     mu = Partition.parse(args.mu)
     nu = Partition.parse(args.nu)
@@ -249,7 +257,7 @@ def cmd_lr(args, settings: Settings) -> dict:
     return _result(query, exact=lr_coefficient(lam, mu, nu), conventions=[_CONV_EXACT])
 
 
-def cmd_g(args, settings: Settings) -> dict:
+def cmd_g(args) -> dict:
     lam = Partition.parse(args.lam)
     method = args.method.strip().lower()
     stable_range = True
@@ -281,7 +289,7 @@ def cmd_g(args, settings: Settings) -> dict:
     )
 
 
-def cmd_mc_verify(args, settings: Settings) -> dict:
+def cmd_mc_verify(args) -> dict:
     family = Family.parse(args.group)
     G = GroupSpec(family, args.n)
     gamma = Partition.parse(args.gamma) if args.gamma is not None else None
@@ -317,24 +325,15 @@ def cmd_mc_verify(args, settings: Settings) -> dict:
     else:
         raise CLIError("mc-verify needs an observable: pass --lambda or --coeffs")
 
-    samples = args.samples if args.samples is not None else settings.default_samples
-    seed = args.seed
-    query["samples"] = samples
-    query["seed"] = seed
-    est = estimate(
-        G,
-        observable,
-        samples,
-        seed,
-        threads=args.threads,
-        tolerances=settings.tolerances,
-    )
+    query["samples"] = args.samples
+    query["seed"] = args.seed
+    est = estimate(G, observable, args.samples, args.seed, threads=args.threads)
     mc = {
         "mean": est.mean,
         "stderr": est.stderr,
         "samples": est.samples,
         "seed": est.seed,
-        "tolerances": settings.tolerances.as_dict(),
+        "tolerances": DEFAULT_TOLERANCES.as_dict(),
     }
     if reference is not None and est.stderr > 0:
         mc["z"] = (est.mean - float(reference)) / est.stderr
@@ -351,7 +350,7 @@ def cmd_mc_verify(args, settings: Settings) -> dict:
     )
 
 
-def cmd_selftest(args, settings: Settings) -> dict:
+def cmd_selftest(args) -> dict:
     checks: dict[str, int] = {}
 
     count = 0
@@ -457,15 +456,6 @@ def _print_pretty(doc: dict) -> None:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="human-readable output")
-    common.add_argument("--cache-dir", default=None, help="character table cache directory")
-    common.add_argument("--config", default=None, help="JSON config file path")
-    common.add_argument(
-        "--threads", type=int, default=None, help="worker threads for estimators"
-    )
-    common.add_argument("--seed", type=int, default=0, help="base seed for sampling")
-    common.add_argument(
-        "--samples", type=int, default=None, help="sample count for estimators"
-    )
 
     parser = argparse.ArgumentParser(
         prog="liemoments",
@@ -540,6 +530,11 @@ def build_parser() -> argparse.ArgumentParser:
         "char-table", parents=[common], help="symmetric group character table"
     )
     p.add_argument("--k", type=int, required=True)
+    p.add_argument(
+        "--cache-dir",
+        default=os.environ.get(ENV_CACHE_DIR) or None,
+        help=f"character table cache directory (default: ${ENV_CACHE_DIR})",
+    )
     p.set_defaults(handler=cmd_char_table)
 
     p = sub.add_parser(
@@ -571,6 +566,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", default=None, metavar="PARTITION")
     p.add_argument("--gamma", default=None, metavar="PARTITION")
     p.add_argument("--coeffs", default=None, metavar="COEFFS")
+    p.add_argument("--samples", type=int, default=100_000, help="sample count")
+    p.add_argument("--seed", type=int, default=0, help="base seed for sampling")
+    p.add_argument(
+        "--threads", type=int, default=None, help="worker threads (default: CPU count)"
+    )
     p.set_defaults(handler=cmd_mc_verify)
 
     p = sub.add_parser(
@@ -584,18 +584,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "--selftest":
-        argv[0] = "selftest"
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        settings = load_settings(
-            cache_dir=args.cache_dir,
-            default_samples=args.samples,
-            config_file=args.config,
-        )
-        doc = args.handler(args, settings)
+        doc = args.handler(args)
     except StableRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(

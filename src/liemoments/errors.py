@@ -14,7 +14,7 @@ class LieMomentsError(Exception):
 
 
 class ResourceBoundError(LieMomentsError):
-    """An enumeration was requested beyond its configured size guard."""
+    """An enumeration or table build was requested beyond its size guard."""
 
 
 class StableRangeError(LieMomentsError):
@@ -24,11 +24,6 @@ class StableRangeError(LieMomentsError):
     weight of the observable.  Below that range the correct value generally
     differs, so we refuse rather than silently return the stable answer.
     """
-
-    def __init__(self, message: str, *, group=None, needed_weight: int | None = None):
-        super().__init__(message)
-        self.group = group
-        self.needed_weight = needed_weight
 
 
 class ConsistencyError(LieMomentsError):

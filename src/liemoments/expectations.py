@@ -39,9 +39,7 @@ def _require_stable(G: GroupSpec, k: int) -> None:
         raise StableRangeError(
             f"{G} has rank below the weight {k} of the requested observable; "
             f"the exact formula needs rank >= {k}. "
-            "Use the Monte Carlo verifier (mc-verify) in this regime.",
-            group=G,
-            needed_weight=k,
+            "Use the Monte Carlo verifier (mc-verify) in this regime."
         )
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from . import config
 from .errors import DegeneracyError
 from .groups import GroupSpec
 from .partitions import Partition
@@ -172,7 +172,8 @@ class CharacterProductObservable:
         return ctx.chars[self.gamma] * ctx.chars[self.mu]
 
 
-def _chunk_block(G, observables, seed, i0, i1, pmax, labels, tolerances):
+def _chunk_block(G, observables, seed, i0, i1, pmax, labels):
+    tolerances = config.DEFAULT_TOLERANCES
     batch = i1 - i0
     rngs = [rng_for_sample(seed, i) for i in range(i0, i1)]
     mats = sample_matrices(G, rngs)
@@ -189,9 +190,7 @@ def _chunk_block(G, observables, seed, i0, i1, pmax, labels, tolerances):
             angles, residual = half_spectrum_batch(mats, G.family)
             bad = bad | (residual > tolerances.pairing)
             for lab in labels:
-                values, cbad = weyl_character_batch(
-                    G.family, lab, angles, tolerances=tolerances
-                )
+                values, cbad = weyl_character_batch(G.family, lab, angles)
                 bad = bad | cbad
                 chars[lab] = values
         if not bad.any():
@@ -213,13 +212,14 @@ def sample_values(
     seed: int,
     *,
     threads: int | None = None,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> np.ndarray:
     """Per-sample observable values, shape (num observables, samples), in
     sample-index order.  All observables share the same draws."""
     observables = list(observables)
     if samples < 100:
         raise ValueError(f"at least 100 samples required, got {samples}")
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if G.is_stable:
         raise ValueError("cannot sample the stable group; pick a finite rank")
     n = G.rank
@@ -238,12 +238,9 @@ def sample_values(
 
     def work(span):
         i0, i1 = span
-        return i0, i1, _chunk_block(
-            G, observables, seed, i0, i1, pmax, labels, tolerances
-        )
+        return i0, i1, _chunk_block(G, observables, seed, i0, i1, pmax, labels)
 
-    workers = threads if threads is not None else (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(ranges)))
+    workers = min(threads or os.cpu_count() or 1, len(ranges))
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         mapper = pool.map if pool else map
         for i0, i1, (block, ndeg) in mapper(work, ranges):
@@ -253,7 +250,7 @@ def sample_values(
     if degenerate > DEGENERACY_BUDGET * samples:
         raise DegeneracyError(
             f"{degenerate} of {samples} samples hit numerical degeneracy "
-            f"(budget {DEGENERACY_BUDGET:.0%}); check rank, labels and tolerances"
+            f"(budget {DEGENERACY_BUDGET:.0%}); check rank and labels"
         )
     return values
 
@@ -265,13 +262,10 @@ def estimate_many(
     seed: int,
     *,
     threads: int | None = None,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> list[MCEstimate]:
     """One estimate per observable, all from the same shared sample set."""
     observables = list(observables)
-    values = sample_values(
-        G, observables, samples, seed, threads=threads, tolerances=tolerances
-    )
+    values = sample_values(G, observables, samples, seed, threads=threads)
     out = []
     for row in values:
         mean = float(np.mean(row))
@@ -287,11 +281,8 @@ def estimate(
     seed: int,
     *,
     threads: int | None = None,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> MCEstimate:
-    return estimate_many(
-        G, [observable], samples, seed, threads=threads, tolerances=tolerances
-    )[0]
+    return estimate_many(G, [observable], samples, seed, threads=threads)[0]
 
 
 def estimate_ratio(
@@ -302,14 +293,11 @@ def estimate_ratio(
     seed: int,
     *,
     threads: int | None = None,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> RatioEstimate:
     """Ratio of means over shared samples; stderr by the delta method with
     the empirical covariance, which accounts for the strong correlation
     between numerator and denominator."""
-    values = sample_values(
-        G, [numerator, denominator], samples, seed, threads=threads, tolerances=tolerances
-    )
+    values = sample_values(G, [numerator, denominator], samples, seed, threads=threads)
     num, den = values
     mean_n = float(np.mean(num))
     mean_d = float(np.mean(den))

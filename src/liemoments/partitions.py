@@ -137,10 +137,6 @@ class Partition:
         return ",".join(str(p) for p in self._parts)
 
 
-def weight(lam: Partition) -> int:
-    return lam.weight
-
-
 def mult_factorial(lam: Partition) -> int:
     """Product of factorials of the part multiplicities."""
     return prod(factorial(m) for m in lam.multiplicities().values())

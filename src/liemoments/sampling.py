@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from . import config
 from .groups import Family, GroupSpec, weyl_exponents
 from .partitions import Partition
 
@@ -175,24 +175,21 @@ def half_spectrum_batch(mats: np.ndarray, family: Family) -> tuple[np.ndarray, n
 
 
 def weyl_character_batch(
-    family: Family,
-    gamma: Partition,
-    angles: np.ndarray,
-    *,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
+    family: Family, gamma: Partition, angles: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Character values on a stack of half spectra, by the Weyl character
     formula with the exponents and mirror factor of `weyl_exponents`.
 
     Returns (real values, degenerate mask).  Degenerate means the Weyl
-    denominator fell below the configured floor, where the ratio loses all
+    denominator fell below the constant floor
+    `config.DEFAULT_TOLERANCES.denominator_min`, where the ratio loses all
     significance; callers resample those rows.
     """
     a, b, mirror = weyl_exponents(family, angles.shape[1], gamma)
     trig = np.cos if family is Family.SO_EVEN else np.sin
     num = np.linalg.det(trig(angles[:, :, None] * np.array(a, dtype=float)))
     den = np.linalg.det(trig(angles[:, :, None] * np.array(b, dtype=float)))
-    bad = np.abs(den) < tolerances.denominator_min
+    bad = np.abs(den) < config.DEFAULT_TOLERANCES.denominator_min
     return np.where(bad, 1.0, mirror * num / np.where(bad, 1.0, den)), bad
 
 

@@ -104,14 +104,6 @@ class FourierData:
                 return v
         return Fraction(0) if self.exact else 0.0
 
-    def condition_a(self) -> float:
-        """Diagnostic sum 2*sum|c_i| + |c0|; always finite here."""
-        return 2.0 * sum(abs(float(v)) for _, v in self._coeffs) + abs(float(self.c0))
-
-    def condition_b(self) -> float:
-        """Diagnostic sum 2*sum i*c_i^2; always finite here."""
-        return 2.0 * sum(i * float(v) ** 2 for i, v in self._coeffs)
-
     def as_float(self) -> "FourierData":
         if not self.exact:
             return self

@@ -126,34 +126,6 @@ def cycle_type(perm) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
-def hyperoctahedral_induced_value(k: int, mu: tuple[int, ...]) -> int:
-    """Value at class mu of the character induced from the trivial character
-    of the stabilizer of the matching {(0,1), (2,3), ...}, by direct counting
-    over S_k.  Feasible for k <= 6."""
-    tau = list(range(k))
-    for i in range(0, k, 2):
-        tau[i], tau[i + 1] = tau[i + 1], tau[i]
-    centralizer = []
-    for perm in permutations(range(k)):
-        if all(perm[tau[i]] == tau[perm[i]] for i in range(k)):
-            centralizer.append(perm)
-    in_class = sum(1 for perm in centralizer if cycle_type(perm) == tuple(mu))
-    z_mu = centralizer_order(mu)
-    value = z_mu * in_class / len(centralizer)
-    assert value == int(value)
-    return int(value)
-
-
-def centralizer_order(mu) -> int:
-    mults: dict[int, int] = {}
-    for p in mu:
-        mults[p] = mults.get(p, 0) + 1
-    out = 1
-    for i, a in mults.items():
-        out *= i**a * math.factorial(a)
-    return out
-
-
 #: largest entrywise residual each group relation may show on a sampled matrix
 RESIDUAL_LIMITS = {
     "unitarity": 1e-10,

@@ -9,16 +9,14 @@ from liemoments.characters import (
     ClassFunction,
     character_table,
     character_value,
-    hyperoctahedral_sum,
     induction_product,
     inner_product,
     irreducible,
     power_sum_expansion,
-    tensor_sign,
 )
-from liemoments.partitions import Partition, even_partitions_of, partitions_of, z
+from liemoments.partitions import Partition, partitions_of, z
 
-from oracles import frobenius_character, hook_dimension, hyperoctahedral_induced_value
+from oracles import frobenius_character, hook_dimension
 
 P = Partition.parse
 
@@ -121,15 +119,6 @@ def test_power_sum_expansion():
                 assert p.value_at(rho) == expected
 
 
-def test_tensor_sign_on_class_functions():
-    cf = ClassFunction(4, {P("3,1"): 2, P("2,2"): -1})
-    twisted = tensor_sign(cf)
-    assert twisted.coefficient(P("3,1").conjugate()) == 2
-    assert twisted.coefficient(P("2,2").conjugate()) == -1
-    # twisting twice is the identity
-    assert tensor_sign(twisted) == cf
-
-
 def test_induction_product_pieri():
     got = induction_product(irreducible(P("1")), irreducible(P("1")))
     assert got.coefficient(P("2")) == 1
@@ -149,20 +138,3 @@ def test_induction_product_dimensions():
     assert total == comb(5, 3) * hook_dimension(a.parts) * hook_dimension(b.parts)
 
 
-def test_hyperoctahedral_sum_coefficients():
-    for k in (0, 2, 4, 6):
-        eta = hyperoctahedral_sum(k)
-        evens = set(even_partitions_of(k))
-        for lam in partitions_of(k):
-            assert eta.coefficient(lam) == (1 if lam in evens else 0)
-    with pytest.raises(ValueError):
-        hyperoctahedral_sum(3)
-
-
-@pytest.mark.parametrize("k", [2, 4, 6])
-def test_hyperoctahedral_sum_is_induced_character(k):
-    # values agree with direct counting of the induced trivial character
-    # from the matching stabilizer
-    eta = hyperoctahedral_sum(k)
-    for mu in partitions_of(k):
-        assert eta.value_at(mu) == hyperoctahedral_induced_value(k, mu.parts)

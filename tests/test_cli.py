@@ -1,4 +1,4 @@
-"""CLI behavior: JSON shape, byte stability, exit codes, config resolution."""
+"""CLI behavior: JSON shape, byte stability, exit codes, per-command flags."""
 
 from __future__ import annotations
 
@@ -247,6 +247,8 @@ def test_exit_code_2_on_bad_input(capsys):
         ["g", "--lambda", "2,1", "--method", "rains:4"],
         ["g", "--lambda", "2", "--method", "sorcery"],
         ["ratio", "--gamma", "1", "--coeffs", "c1=zero"],
+        ["mc-verify", "--group", "sp", "--n", "1", "--lambda", "1", "--threads", "0"],
+        ["mc-verify", "--group", "sp", "--n", "1", "--lambda", "1", "--threads", "-3"],
     ]
     for argv in cases:
         code, _, err = run_cli(argv, capsys)
@@ -289,7 +291,7 @@ def test_pretty_output(capsys):
 
 
 def test_selftest_alias(capsys):
-    doc = run_json(["--selftest"], capsys)
+    doc = run_json(["selftest"], capsys)
     checks = doc["checks"]
     assert checks["matching-counts"] > 0
     assert checks["twisted-routes"] > 0
@@ -319,35 +321,33 @@ def test_cache_created_and_corruption_survived(tmp_path, capsys):
     characters._TABLE_MEMO.clear()
 
 
-def test_config_file_and_env_precedence(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"default_samples": 150}))
-    argv = ["mc-verify", "--group", "so-even", "--n", "1", "--lambda", "1",
-            "--config", str(cfg)]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expect-trace", "--group", "sp", "--lambda", "2", "--samples", "5"],
+        ["g", "--lambda", "2,1", "--cache-dir", "d"],
+        ["mc-verify", "--group", "sp", "--n", "1", "--lambda", "1", "--config", "f"],
+        ["--selftest"],
+    ],
+    ids=["expect-trace-samples", "g-cache-dir", "mc-verify-config", "selftest-alias"],
+)
+def test_flag_of_another_command_is_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err
 
-    monkeypatch.delenv("LIEMOMENTS_DEFAULT_SAMPLES", raising=False)
-    doc = run_json(argv, capsys)
-    assert doc["query"]["samples"] == 150
 
-    monkeypatch.setenv("LIEMOMENTS_DEFAULT_SAMPLES", "200")
-    doc = run_json(argv, capsys)
-    assert doc["query"]["samples"] == 200
-
-    doc = run_json(argv + ["--samples", "300"], capsys)
-    assert doc["query"]["samples"] == 300
-
-
-def test_config_unknown_tolerance_key_rejected(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tolerances": {"spectrum_match": 1e-6}}))
-    code, out, err = run_cli(
-        ["mc-verify", "--group", "sp", "--n", "1", "--lambda", "1",
-         "--samples", "100", "--config", str(cfg)],
-        capsys,
-    )
+def test_char_table_above_bound_refused(tmp_path, capsys):
+    characters._TABLE_MEMO.clear()
+    code, out, err = run_cli(["char-table", "--k", "21", "--cache-dir", str(tmp_path)], capsys)
     assert code == 2
     assert out == ""
-    assert "spectrum_match" in err
+    assert "bound 20" in err
+    assert list(tmp_path.iterdir()) == []
+    assert 21 not in characters._TABLE_MEMO
 
 
 def test_env_cache_dir(tmp_path, capsys, monkeypatch):

@@ -8,10 +8,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from liemoments import montecarlo
+import liemoments
+from liemoments import (
+    characters,
+    config,
+    expectations,
+    lr,
+    matchings,
+    montecarlo,
+    partitions,
+    szego,
+    tablecache,
+)
 from liemoments.config import DEFAULT_TOLERANCES
 from liemoments.errors import DegeneracyError
-from liemoments.groups import GroupSpec
+from liemoments.groups import Family, GroupSpec
 from liemoments.montecarlo import (
     CharacterProductObservable,
     MCEstimate,
@@ -158,17 +169,20 @@ def test_label_longer_than_rank():
         estimate(GroupSpec.sp(2), TwistedObservable(P("1,1,1"), P("1")), 500, seed=0)
 
 
-def test_impossible_tolerance_aborts():
+def test_impossible_tolerance_aborts(monkeypatch):
     # a trace-imag tolerance below zero marks every draw degenerate, so the
     # redraw loop must exhaust its rounds and abort instead of spinning
     tol = dataclasses.replace(DEFAULT_TOLERANCES, trace_imag=-1.0)
+    monkeypatch.setattr(config, "DEFAULT_TOLERANCES", tol)
     with pytest.raises(DegeneracyError):
-        estimate(
-            GroupSpec.sp(2),
-            TraceProductObservable(P("1")),
-            200,
-            seed=0,
-            tolerances=tol,
+        estimate(GroupSpec.sp(2), TraceProductObservable(P("1")), 200, seed=0)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_thread_count_below_one_rejected(threads):
+    with pytest.raises(ValueError, match="threads"):
+        sample_values(
+            GroupSpec.sp(2), [TraceProductObservable(P("1"))], 200, 0, threads=threads
         )
 
 
@@ -201,28 +215,35 @@ FORCED_REDRAWS = [
 
 
 @pytest.mark.parametrize("G, obs, tolerance, block_sum", FORCED_REDRAWS)
-def test_forced_redraws_are_pinned(G, obs, tolerance, block_sum):
+def test_forced_redraws_are_pinned(G, obs, tolerance, block_sum, monkeypatch):
     """Redraws continue each sample's stream: the redrawn block is pinned bit
     for bit, and the thread count still cannot change any sample."""
     name, forcing, mild = tolerance
-    tol = dataclasses.replace(DEFAULT_TOLERANCES, **{name: forcing})
+    default = sample_values(G, [obs], 9000, seed=5, threads=1)
+
+    def use(value):
+        tol = dataclasses.replace(DEFAULT_TOLERANCES, **{name: value})
+        monkeypatch.setattr(config, "DEFAULT_TOLERANCES", tol)
+
+    use(forcing)
     labels = list(obs.characters())
-    block, redrawn = _chunk_block(G, [obs], 5, 100, 1100, obs.max_power(), labels, tol)
+    block, redrawn = _chunk_block(G, [obs], 5, 100, 1100, obs.max_power(), labels)
     assert redrawn > 0
     assert float(block.sum()).hex() == block_sum
 
-    tol = dataclasses.replace(DEFAULT_TOLERANCES, **{name: mild})
-    a = sample_values(G, [obs], 9000, seed=5, threads=1, tolerances=tol)
-    b = sample_values(G, [obs], 9000, seed=5, threads=2, tolerances=tol)
+    use(mild)
+    a = sample_values(G, [obs], 9000, seed=5, threads=1)
+    b = sample_values(G, [obs], 9000, seed=5, threads=2)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, sample_values(G, [obs], 9000, seed=5, threads=1))
+    assert not np.array_equal(a, default)
 
 
 def test_names_the_bench_tracer_rebinds_exist():
-    """`bench/mc.py:install_tracing` rebinds these names of the montecarlo
-    module to time each stage, so renaming or deleting one breaks every
-    traced benchmark run; this makes it fail here first.  Drop this test
-    when the timing spans move into the package (ROADMAP item 5)."""
+    """The benchmark under `bench/` rebinds, wraps or reads these package
+    names, so renaming or deleting one breaks a benchmark run; this makes it
+    fail here first.  Drop the rebinding parts when the timing spans move
+    into the package (ROADMAP item 5)."""
+    # bench/mc.py:install_tracing rebinds these and reads two thresholds
     for name in (
         "rng_for_sample",
         "sample_matrices",
@@ -232,3 +253,66 @@ def test_names_the_bench_tracer_rebinds_exist():
         "sample_values",
     ):
         assert callable(getattr(montecarlo, name, None)), name
+    assert isinstance(config.DEFAULT_TOLERANCES.trace_imag, float)
+    assert isinstance(config.DEFAULT_TOLERANCES.pairing, float)
+
+    # bench/tracer.py:trace_layers wraps these 19 functions and the table build
+    wrapped = {
+        expectations: ("expect_twisted_route_a", "expect_twisted_route_b"),
+        lr: ("lr_coefficient", "schur_product", "branching_decomposition"),
+        szego: (
+            "ratio_character_sum",
+            "ratio_schur_specialization",
+            "johansson_limit",
+            "twisted_asymptotic",
+            "expect_phi_series",
+            "weyl_dimension",
+        ),
+        matchings: ("g_closed", "g_bruteforce", "fpf_involutions_lds"),
+        partitions: ("partitions_of", "even_partitions_of", "sub_splittings"),
+        tablecache: ("save_table", "load_table"),
+    }
+    assert sum(len(names) for names in wrapped.values()) == 19
+    for module, names in wrapped.items():
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+    assert callable(characters.CharacterTable.build)
+
+    # bench/tracer.py:cache_sizes, bench/run.py and bench/exact.py read these
+    assert characters._strip_recursion.cache_info().currsize >= 0
+    assert lr._count_tableaux.cache_info().currsize >= 0
+    assert isinstance(partitions.ENUMERATION_BOUND, int)
+    branched = lr.branching_decomposition(P("2"), Family.SP).coeffs
+    assert branched == {P("2"): 1}
+    spec = szego.SchurSpecialization.compute(P("1"), FourierData.parse("c1=1/2"))
+    assert spec.value == Fraction(1, 2)
+
+    # names the bench imports from the package root
+    for name in (
+        "CharacterProductObservable",
+        "Family",
+        "FourierData",
+        "GroupSpec",
+        "Partition",
+        "PhiObservable",
+        "SchurSpecialization",
+        "TraceProductObservable",
+        "TwistedObservable",
+        "TwistedPhiObservable",
+        "branching_decomposition",
+        "character_table",
+        "estimate",
+        "estimate_many",
+        "estimate_ratio",
+        "expect_phi_series",
+        "expect_trace_product",
+        "expect_twisted",
+        "fpf_involutions_lds",
+        "g_bruteforce",
+        "g_closed",
+        "johansson_limit",
+        "lr_coefficient",
+        "partitions_of",
+        "twisted_asymptotic",
+    ):
+        assert hasattr(liemoments, name), name

@@ -62,12 +62,6 @@ def test_fourier_construction_rules():
     assert not g.exact and g.coefficient(2) == 0.5
 
 
-def test_condition_diagnostics():
-    f = FourierData({1: Fraction(1, 2), 3: Fraction(-1, 4)})
-    assert f.condition_a() == pytest.approx(2 * (0.5 + 0.25))
-    assert f.condition_b() == pytest.approx(2 * (1 * 0.25 + 3 * 0.0625))
-
-
 def test_ratio_closed_forms_small_labels():
     f = FourierData({1: Fraction(1, 2), 2: Fraction(1, 3), 3: Fraction(1, 5)})
     c1, c2, c3 = Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)
