@@ -1,18 +1,16 @@
-"""Irreducible characters of symmetric groups and the class-function algebra.
+"""Irreducible characters of symmetric groups and their character tables.
 
 Character values are computed by the classical border-strip recursion,
 implemented on first-column beta numbers: removing a border strip of length
 r from the diagram is the same as replacing one beta number b by b - r
 (provided b - r is not already a beta number), and the height of the strip
 is the number of beta numbers strictly between the two.  All arithmetic is
-exact integers; rational coefficients enter only through class functions.
+exact integers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
 
 from .errors import ResourceBoundError
 from .partitions import Partition, partitions_of
@@ -94,12 +92,6 @@ class CharacterTable:
     def value(self, lam: Partition, mu: Partition) -> int:
         return self.values[self._index[lam]][self._index[mu]]
 
-    def row(self, lam: Partition) -> tuple[int, ...]:
-        return self.values[self._index[lam]]
-
-    def dimension(self, lam: Partition) -> int:
-        return self.values[self._index[lam]][-1]
-
     def __eq__(self, other):
         if isinstance(other, CharacterTable):
             return (
@@ -145,85 +137,3 @@ def character_table(k: int, *, cache_dir=None) -> CharacterTable:
             tablecache.save_table(table, cache_dir)
     _TABLE_MEMO[k] = table
     return table
-
-
-class ClassFunction:
-    """Class function on the symmetric group on k points, stored by its exact
-    coordinates in the irreducible-character basis.
-
-    Coordinates may be ints or Fractions; zeros are dropped on construction.
-    """
-
-    __slots__ = ("k", "coeffs")
-
-    def __init__(self, k: int, coeffs: Mapping[Partition, int | Fraction]):
-        self.k = k
-        cleaned: dict[Partition, int | Fraction] = {}
-        for lam, c in coeffs.items():
-            if lam.weight != k:
-                raise ValueError(f"label {lam} does not have weight {k}")
-            if c:
-                cleaned[lam] = c
-        self.coeffs = dict(sorted(cleaned.items(), key=lambda kv: kv[0].sort_key))
-
-    def coefficient(self, lam: Partition) -> int | Fraction:
-        return self.coeffs.get(lam, 0)
-
-    def value_at(self, mu: Partition) -> int | Fraction:
-        """Pointwise value on the class mu."""
-        return sum(
-            c * character_value(lam, mu) for lam, c in self.coeffs.items()
-        )
-
-    def __eq__(self, other):
-        if isinstance(other, ClassFunction):
-            return self.k == other.k and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __repr__(self):
-        body = ", ".join(f"{lam}: {c}" for lam, c in self.coeffs.items())
-        return f"ClassFunction(k={self.k}, {{{body}}})"
-
-
-def irreducible(lam: Partition) -> ClassFunction:
-    return ClassFunction(lam.weight, {lam: 1})
-
-
-def power_sum_expansion(lam: Partition) -> ClassFunction:
-    """Expansion of the power-sum symmetric function p_lam in irreducible
-    characters: the coordinate of chi_mu is chi_mu(lam)."""
-    k = lam.weight
-    coeffs = {}
-    for mu in partitions_of(k):
-        v = character_value(mu, lam)
-        if v:
-            coeffs[mu] = v
-    return ClassFunction(k, coeffs)
-
-
-def inner_product(a: ClassFunction, b: ClassFunction) -> int | Fraction:
-    """Standard inner product of class functions; the irreducible basis is
-    orthonormal, so this is a plain dot product of coordinates."""
-    if a.k != b.k:
-        raise ValueError(f"degree mismatch: {a.k} vs {b.k}")
-    small, large = (a, b) if len(a.coeffs) <= len(b.coeffs) else (b, a)
-    return sum(c * large.coefficient(lam) for lam, c in small.coeffs.items())
-
-
-def induction_product(a: ClassFunction, b: ClassFunction) -> ClassFunction:
-    """Product induced from the direct product of two symmetric groups up to
-    the symmetric group on the combined points.
-
-    On the character basis this is bilinear with structure constants given by
-    the Littlewood-Richardson coefficients.
-    """
-    from .lr import schur_product
-
-    k = a.k + b.k
-    coeffs: dict[Partition, int | Fraction] = {}
-    for lam1, c1 in a.coeffs.items():
-        for lam2, c2 in b.coeffs.items():
-            c12 = c1 * c2
-            for nu, m in schur_product(lam1, lam2).items():
-                coeffs[nu] = coeffs.get(nu, 0) + c12 * m
-    return ClassFunction(k, coeffs)

@@ -4,8 +4,9 @@ Every command prints one JSON document on stdout.  Exact results are
 reduced fractions carried as decimal strings, so output is byte-stable
 across runs and platforms: keys are sorted, separators fixed, and the
 metadata block contains no host-specific data.  Exit codes: 2 for parse
-or domain errors, 3 for queries outside the stable range (with a pointer
-to mc-verify), 4 for internal consistency faults.
+or domain errors and for results that overflow or are not finite in
+floating point, 3 for queries outside the stable range (with a pointer to
+mc-verify), 4 for internal consistency faults.
 
 Flags are the only input.  Each command accepts just the flags it reads,
 plus `--pretty`, so a flag given to any other command is a parse error:
@@ -290,6 +291,8 @@ def cmd_g(args) -> dict:
 
 
 def cmd_mc_verify(args) -> dict:
+    if (args.lam is None) == (args.coeffs is None):
+        raise CLIError("mc-verify needs one observable: pass --lambda or --coeffs")
     family = Family.parse(args.group)
     G = GroupSpec(family, args.n)
     gamma = Partition.parse(args.gamma) if args.gamma is not None else None
@@ -305,7 +308,7 @@ def cmd_mc_verify(args) -> dict:
             observable = TwistedPhiObservable(gamma, f)
         else:
             observable = PhiObservable(f)
-    elif args.lam is not None:
+    else:
         lam = Partition.parse(args.lam)
         query["lambda"] = str(lam)
         observable_weight = lam.weight
@@ -322,8 +325,6 @@ def cmd_mc_verify(args) -> dict:
                 reference = expect_trace_product(G, lam)
             except StableRangeError:
                 reference = None
-    else:
-        raise CLIError("mc-verify needs an observable: pass --lambda or --coeffs")
 
     query["samples"] = args.samples
     query["seed"] = args.seed
@@ -389,13 +390,6 @@ def cmd_selftest(args) -> dict:
 
 # ---------------------------------------------------------------------------
 # output
-
-
-def _emit(doc: dict, pretty: bool) -> None:
-    if pretty:
-        _print_pretty(doc)
-    else:
-        sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _print_pretty(doc: dict) -> None:
@@ -601,10 +595,21 @@ def main(argv=None) -> int:
     except DegeneracyError as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return 4
+    except OverflowError as exc:
+        print(f"error: result out of floating-point range: {exc}", file=sys.stderr)
+        return 2
     except (CLIError, ValueError, ResourceBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(doc, pretty=args.pretty)
+    try:
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        print("error: result is not finite in floating point", file=sys.stderr)
+        return 2
+    if args.pretty:
+        _print_pretty(doc)
+    else:
+        sys.stdout.write(text + "\n")
     return 0
 
 

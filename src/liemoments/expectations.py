@@ -7,31 +7,28 @@ averages insert an irreducible character of the group evaluated at g; they
 are computed by two genuinely different routes that the verification mode
 plays against each other:
 
-  route A sums over partitions beta of the complementary weight with the
-  family's parity constraint (conjugate-even for Sp, even for SO), each
-  contributing the inner product of an induced character with p_lam;
+  route A expands p_lam = sum_nu chi_nu(lam) s_nu and restricts each s_nu
+  to the group: the coefficient of chi_gamma is the Littlewood-Richardson
+  sum of c^nu_{gamma, beta} over the family's paired partitions beta of the
+  complementary weight (`lr.paired_partitions`, shared with branching), so
+  the average is sum_beta sum_nu c^nu_{gamma, beta} chi_nu(lam);
 
   route B splits the multiset lam into a piece matched against the twisting
   character and a remainder fed back to the plain average.
 
-No extra sign prefactors appear in either route: for Sp the conjugate-even
-constraint on beta is what turns the matching count into its signed version,
-and route B inherits the sign through the plain average of the remainder.
+No extra sign prefactors appear in either route: for Sp the even
+multiplicities of beta turn the matching count into its signed version, and
+route B inherits the sign through the plain average of the remainder.
 """
 
 from __future__ import annotations
 
-from .characters import (
-    character_value,
-    induction_product,
-    inner_product,
-    irreducible,
-    power_sum_expansion,
-)
+from .characters import character_value
 from .errors import ConsistencyError, StableRangeError
 from .groups import Family, GroupSpec, mirror_factor
+from .lr import paired_partitions, schur_product
 from .matchings import fpf_involutions_lds, g_closed
-from .partitions import Partition, partitions_of, sgn, sub_splittings
+from .partitions import Partition, sgn, sub_splittings
 
 
 def _require_stable(G: GroupSpec, k: int) -> None:
@@ -67,28 +64,18 @@ def expect_trace_product(G: GroupSpec, lam: Partition) -> int:
     raise AssertionError("unreachable")
 
 
-def _parity_ok(beta: Partition, family: Family) -> bool:
-    if family is Family.SP:
-        return beta.has_even_multiplicities()
-    return beta.has_even_parts()
-
-
 def expect_twisted_route_a(G: GroupSpec, gamma: Partition, lam: Partition) -> int:
-    """Twisted average via the induced-character sum over parity-constrained
-    partitions of the complementary weight."""
+    """Twisted average via the Littlewood-Richardson restriction of the
+    Schur expansion of p_lam."""
     k = lam.weight
     j = gamma.weight
     _require_stable(G, k)
     if j > k or (k - j) % 2:
         return 0
-    p_lam = power_sum_expansion(lam)
-    chi_gamma = irreducible(gamma)
     total = 0
-    for beta in partitions_of(k - j):
-        if not _parity_ok(beta, G.family):
-            continue
-        induced = induction_product(chi_gamma, irreducible(beta))
-        total += inner_product(induced, p_lam)
+    for beta in paired_partitions(G.family, k - j):
+        for nu, c in schur_product(gamma, beta).items():
+            total += c * character_value(nu, lam)
     return total
 
 
@@ -129,6 +116,6 @@ def expect_twisted(
         if a != b:
             raise ConsistencyError(
                 f"twisted-average routes disagree for {G}, gamma={gamma}, "
-                f"lam={lam}: induced-character sum gives {a}, splitting sum {b}"
+                f"lam={lam}: Littlewood-Richardson sum gives {a}, splitting sum {b}"
             )
     return b * mirror_factor(G.family, G.rank, gamma)

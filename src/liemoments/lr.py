@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .groups import Family
-from .partitions import Partition, partitions_of
+from .partitions import Partition, even_partitions_of, partitions_of
 
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -79,6 +79,16 @@ def schur_product(mu: Partition, nu: Partition) -> dict[Partition, int]:
     return out
 
 
+def paired_partitions(family: Family, w: int) -> list[Partition]:
+    """Partitions of w that restrict a Schur function to the family in the
+    stable range: all parts even for SO, all multiplicities even (the
+    conjugates of the even partitions) for Sp.  Empty for odd w."""
+    evens = even_partitions_of(w)
+    if family is Family.SP:
+        return [nu.conjugate() for nu in evens]
+    return evens
+
+
 @dataclass
 class BranchingTarget:
     """Decomposition of a restricted representation: multiplicities of the
@@ -92,20 +102,17 @@ def branching_decomposition(lam: Partition, family: Family) -> BranchingTarget:
     """Restriction multiplicities of the unitary irreducible labeled lam to
     the symplectic or orthogonal subgroup, as Littlewood-Richardson sums.
 
-    The symplectic multiplicity of mu is the sum of c^lam_{nu', mu} over nu
-    with all parts even (nu' the conjugate); the orthogonal multiplicity
-    replaces nu' by nu.  Valid verbatim when the group rank is at least
+    The multiplicity of mu is the sum of c^lam_{beta, mu} over beta in
+    `paired_partitions`.  Valid verbatim when the group rank is at least
     |lam|; below that the target labels need folding, which is out of scope
     here.
     """
     k = lam.weight
     coeffs: dict[Partition, int] = {}
     for w in range(0, k + 1, 2):
-        for rho in partitions_of(w // 2):
-            nu = Partition(2 * p for p in rho.parts)
-            paired = nu.conjugate() if family is Family.SP else nu
+        for beta in paired_partitions(family, w):
             for mu in partitions_of(k - w):
-                c = lr_coefficient(lam, paired, mu)
+                c = lr_coefficient(lam, beta, mu)
                 if c:
                     coeffs[mu] = coeffs.get(mu, 0) + c
     ordered = dict(sorted(coeffs.items(), key=lambda kv: kv[0].sort_key))

@@ -62,10 +62,6 @@ class Partition:
         """Number of (nonzero) parts."""
         return len(self._parts)
 
-    def multiplicity(self, i: int) -> int:
-        """Number of parts equal to i."""
-        return self._parts.count(i)
-
     def multiplicities(self) -> dict[int, int]:
         """Map part value -> multiplicity, keys in decreasing order."""
         out: dict[int, int] = {}
@@ -80,26 +76,11 @@ class Partition:
         cols = [sum(1 for p in self._parts if p > j) for j in range(self._parts[0])]
         return Partition(cols)
 
-    def union(self, other: "Partition") -> "Partition":
-        """Multiset union of the parts."""
-        return Partition(self._parts + other._parts)
-
     def contains(self, other: "Partition") -> bool:
         """Containment of Young diagrams: other[i] <= self[i] for every row."""
         if other.length > len(self._parts):
             return False
         return all(o <= s for s, o in zip(self._parts, other._parts))
-
-    def has_even_parts(self) -> bool:
-        """True when every part is even (the empty partition qualifies)."""
-        return all(p % 2 == 0 for p in self._parts)
-
-    def has_even_multiplicities(self) -> bool:
-        """True when every part occurs an even number of times.
-
-        Equivalent to the conjugate having all parts even.
-        """
-        return all(m % 2 == 0 for m in self.multiplicities().values())
 
     @property
     def sort_key(self) -> tuple:
@@ -135,11 +116,6 @@ class Partition:
         if not self._parts:
             return "0"
         return ",".join(str(p) for p in self._parts)
-
-
-def mult_factorial(lam: Partition) -> int:
-    """Product of factorials of the part multiplicities."""
-    return prod(factorial(m) for m in lam.multiplicities().values())
 
 
 def z(lam: Partition) -> int:
@@ -195,8 +171,7 @@ def sub_splittings(lam: Partition, w: int) -> list[tuple[Partition, Partition, i
 
     m is the product over part values i of C(mult(i), mult_a(i)); summing m
     over all splittings of weight w gives the number of w-subsets of the
-    multiset counted with labels, and m * mult_factorial(a) * mult_factorial(b)
-    equals mult_factorial(lam).
+    multiset counted with labels.
     """
     if w < 0 or w > lam.weight:
         raise ValueError(f"splitting weight {w} outside [0, {lam.weight}]")

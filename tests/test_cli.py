@@ -249,11 +249,31 @@ def test_exit_code_2_on_bad_input(capsys):
         ["ratio", "--gamma", "1", "--coeffs", "c1=zero"],
         ["mc-verify", "--group", "sp", "--n", "1", "--lambda", "1", "--threads", "0"],
         ["mc-verify", "--group", "sp", "--n", "1", "--lambda", "1", "--threads", "-3"],
+        ["mc-verify", "--group", "sp", "--n", "2", "--lambda", "1", "--coeffs", "c1=0.1"],
     ]
     for argv in cases:
-        code, _, err = run_cli(argv, capsys)
+        code, out, err = run_cli(argv, capsys)
         assert code == 2, argv
+        assert out == "", argv
         assert err.startswith("error:"), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["asymptotics", "--family", "sp", "--coeffs", "c1=1000"],
+        ["ratio", "--gamma", "3", "--coeffs", "c1=1e200"],
+        ["mc-verify", "--group", "sp", "--n", "1", "--coeffs", "c1=1000", "--samples", "100"],
+    ],
+    ids=["asymptotics", "ratio", "mc-verify"],
+)
+@pytest.mark.parametrize("pretty", [False, True], ids=["json", "pretty"])
+def test_overflow_exits_2_with_empty_stdout(argv, pretty, capsys):
+    # an overflowed or non-finite float is refused before anything is written
+    code, out, err = run_cli(argv + ["--pretty"] * pretty, capsys)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
 
 
 def test_exit_code_3_below_stable_range(capsys):

@@ -9,6 +9,7 @@ from liemoments.groups import Family
 from liemoments.lr import (
     branching_decomposition,
     lr_coefficient,
+    paired_partitions,
     schur_product,
 )
 from liemoments.partitions import Partition, partitions_of, sub_splittings, z
@@ -128,6 +129,27 @@ def test_schur_product_weights_and_positivity():
 
     total = sum(c * hook_dimension(lam.parts) for lam, c in prod.items())
     assert total == comb(8, 4) * hook_dimension((3, 1)) * hook_dimension((2, 2))
+
+
+def test_paired_partitions():
+    # SO pairs with the partitions whose parts are all even, Sp with those
+    # whose multiplicities are all even; conjugation swaps the two
+    def canonical(ps):
+        return sorted(ps, key=lambda p: p.sort_key)
+
+    assert paired_partitions(Family.SO_EVEN, 4) == [P("4"), P("2,2")]
+    assert canonical(paired_partitions(Family.SP, 4)) == [P("2,2"), P("1,1,1,1")]
+    for w in range(11):
+        so = paired_partitions(Family.SO_EVEN, w)
+        sp = paired_partitions(Family.SP, w)
+        assert paired_partitions(Family.SO_ODD, w) == so
+        assert so == [lam for lam in partitions_of(w) if all(p % 2 == 0 for p in lam)]
+        assert canonical(sp) == [
+            lam
+            for lam in partitions_of(w)
+            if all(m % 2 == 0 for m in lam.multiplicities().values())
+        ]
+        assert canonical(lam.conjugate() for lam in so) == canonical(sp)
 
 
 def test_branching_symplectic():

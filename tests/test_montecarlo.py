@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -316,3 +317,44 @@ def test_names_the_bench_tracer_rebinds_exist():
         "twisted_asymptotic",
     ):
         assert hasattr(liemoments, name), name
+
+
+def test_package_root_exports_only_what_is_imported_from_it():
+    """The package root exports the names the benchmark imports from it (the
+    last list above); the CLI and the tests import from the modules."""
+    assert sorted(liemoments.__all__) == sorted(
+        {
+            "CharacterProductObservable",
+            "Family",
+            "FourierData",
+            "GroupSpec",
+            "Partition",
+            "PhiObservable",
+            "SchurSpecialization",
+            "TraceProductObservable",
+            "TwistedObservable",
+            "TwistedPhiObservable",
+            "branching_decomposition",
+            "character_table",
+            "estimate",
+            "estimate_many",
+            "estimate_ratio",
+            "expect_phi_series",
+            "expect_trace_product",
+            "expect_twisted",
+            "fpf_involutions_lds",
+            "g_bruteforce",
+            "g_closed",
+            "johansson_limit",
+            "lr_coefficient",
+            "partitions_of",
+            "twisted_asymptotic",
+        }
+    )
+    # nothing else is bound at the root but submodules
+    extra = {
+        name
+        for name, value in vars(liemoments).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert extra - set(liemoments.__all__) == {"annotations"}
