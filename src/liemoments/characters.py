@@ -68,13 +68,12 @@ class CharacterTable:
     character and the last column (identity class) holds the dimensions.
     """
 
-    __slots__ = ("k", "labels", "values", "_index")
+    __slots__ = ("k", "labels", "values")
 
     def __init__(self, k: int, labels, values):
         self.k = k
         self.labels: tuple[Partition, ...] = tuple(labels)
         self.values: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in values)
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
 
     @classmethod
     def build(cls, k: int) -> "CharacterTable":
@@ -88,9 +87,6 @@ class CharacterTable:
     def classes(self) -> tuple[Partition, ...]:
         # Class types of S_k are the same partitions as the labels.
         return self.labels
-
-    def value(self, lam: Partition, mu: Partition) -> int:
-        return self.values[self._index[lam]][self._index[mu]]
 
     def __eq__(self, other):
         if isinstance(other, CharacterTable):

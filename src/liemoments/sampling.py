@@ -13,20 +13,28 @@ continues the same stream after the normals earlier draws took.
 Generator; each batch draw re-keys one Philox per handle, which is about
 ten times cheaper than building a Generator per sample.
 
-Constructions:
+Constructions, both from one QR with the R-diagonal phase fix (Mezzadri,
+"How to generate random matrices from the classical compact groups",
+Notices AMS 54, 2007): scaling each column of Q by the phase of the
+matching R diagonal entry turns the QR of a Gaussian matrix into a Haar
+draw.  QR runs over fixed slices of the batch, since it holds about four
+copies of its input.
 
-  SO(m): QR of a real Gaussian matrix with the R-diagonal sign correction
-  (multiply each column of Q by the sign of the matching R diagonal entry),
-  which gives Haar on O(m); determinant -1 draws are pushed into SO(m) by
+  SO(m): QR of a real Gaussian matrix, where the phase is the sign; this
+  gives Haar on O(m), and determinant -1 draws are pushed into SO(m) by
   swapping the first two columns, a measure-preserving right translation.
 
-  Sp(2n): n complex Gaussian columns of height 2n orthonormalized together
-  with their quaternionic partners T(v) = J conj(v), J = [[0,-I],[I,0]].
-  A unitary matrix whose columns come in (v, J conj v) pairs commutes with
-  the antiunitary map x -> J conj(x), and that is equivalent to the
-  symplectic condition g J g^T = J for this J, so no basis change is needed
-  afterwards.  Orthogonalization is two-pass classical Gram-Schmidt, whose
-  residuals sit at rounding level (the tests hold them below 1e-10).
+  Sp(2n): n complex Gaussian columns v_k of height 2n, interleaved with
+  their quaternionic partners T(v) = J conj(v), J = [[0,-I],[I,0]], as
+  [v_0, T v_0, v_1, T v_1, ...].  The span of the first 2k columns is
+  closed under T, so column 2k of the phase-fixed Q is v_k orthonormalized
+  against {c_j, T c_j : j < k}; these are the c_k.  A unitary matrix whose
+  columns come in (c, T c) pairs commutes with the antiunitary map
+  x -> J conj(x), which for this J is the symplectic condition
+  g J g^T = J, so g = [c_0 .. c_{n-1}, T c_0 .. T c_{n-1}] needs no basis
+  change.  The partner half is built exactly from the c_k rather than
+  taken from Q's odd columns, so g has the quaternion block structure bit
+  for bit and tr g^k is real to rounding.
 """
 
 from __future__ import annotations
@@ -85,47 +93,58 @@ def _normals(streams, shape) -> np.ndarray:
 # matrix construction
 
 
+#: matrices per np.linalg.qr call: QR holds about four copies of its input,
+#: so a 4096-sample chunk goes through in quarters
+_QR_SLICE = 1024
+
+
+def _haar_qr(a: np.ndarray) -> np.ndarray:
+    """Q of a stack of Gaussian matrices, each column scaled by the phase of
+    the matching R diagonal entry, written over `a`: Haar on O(m) for real
+    input and on U(m) for complex.  For real input the phase is the sign."""
+    for s in range(0, len(a), _QR_SLICE):
+        block = a[s : s + _QR_SLICE]
+        q, r = np.linalg.qr(block)
+        d = np.diagonal(r, axis1=1, axis2=2)
+        size = np.abs(d)
+        zero = size == 0  # probability 0; keep the column
+        phase = np.where(zero, 1.0, d / np.where(zero, 1.0, size))
+        np.multiply(q, phase[:, None, :], out=block)
+        del q, r, d  # before the next slice's QR makes its copies
+    return a
+
+
 def _so_batch(m: int, streams) -> np.ndarray:
-    a = _normals(streams, (m, m))
-    q, r = np.linalg.qr(a)
-    d = np.sign(np.diagonal(r, axis1=1, axis2=2)).copy()
-    d[d == 0] = 1.0  # zero diagonal has probability 0; keep the column
-    q = q * d[:, None, :]
+    q = _haar_qr(_normals(streams, (m, m)))
     neg = np.linalg.det(q) < 0
     if np.any(neg):
         q[neg] = q[neg][:, :, [1, 0, *range(2, m)]]  # swap the first two columns
     return q
 
 
-def _quaternion_partner(v: np.ndarray) -> np.ndarray:
-    """Apply x -> J conj(x) columnwise; v has shape (batch, 2n)."""
-    n = v.shape[-1] // 2
-    out = np.empty_like(v)
-    out[..., :n] = -np.conj(v[..., n:])
-    out[..., n:] = np.conj(v[..., :n])
-    return out
+def _fill_partners(src: np.ndarray, dst: np.ndarray) -> None:
+    """Write J conj(x) of each column x of `src` (shape (batch, 2n, k)) into
+    `dst`, exactly: [-conj(x_bottom); conj(x_top)]."""
+    n = src.shape[1] // 2
+    top = dst[:, :n]
+    np.conj(src[:, n:], out=top)
+    np.negative(top, out=top)
+    np.conj(src[:, :n], out=dst[:, n:])
 
 
 def _sp_batch(n: int, streams) -> np.ndarray:
-    b = len(streams)
     dim = 2 * n
     z = _normals(streams, (2, dim, n))  # real parts, then imaginary parts
-    v = z[:, 0] + 1j * z[:, 1]
+    a = np.empty((len(streams), dim, dim), dtype=np.complex128)
+    v = a[:, :, 0::2]
+    v.real = z[:, 0]
+    v.imag = z[:, 1]
     del z
-    g = np.zeros((b, dim, dim), dtype=np.complex128)
-    for k in range(n):
-        col = v[:, :, k]
-        for _ in range(2):  # second pass scrubs the first pass's rounding
-            if k > 0:
-                basis = np.concatenate((g[:, :, :k], g[:, :, n : n + k]), axis=2)
-                overlaps = np.einsum("bij,bi->bj", np.conj(basis), col)
-                col = col - np.einsum("bij,bj->bi", basis, overlaps)
-        norm = np.linalg.norm(col, axis=1, keepdims=True)
-        # norm ~ 0 would mean 2k Gaussian vectors were linearly dependent
-        # (probability 0).
-        col = col / norm
-        g[:, :, k] = col
-        g[:, :, n + k] = _quaternion_partner(col)
+    _fill_partners(v, a[:, :, 1::2])  # [v_0, J conj v_0, v_1, J conj v_1, ...]
+    _haar_qr(a)
+    g = np.empty_like(a)
+    g[:, :, :n] = a[:, :, 0::2]  # the c_k
+    _fill_partners(g[:, :, :n], g[:, :, n:])
     return g
 
 

@@ -4,7 +4,8 @@ Everything here deliberately avoids the algorithms under test: characters
 come from a signed coefficient extraction instead of border strips,
 dimensions from hook lengths, decreasing-subsequence lengths from a
 quadratic scan, induction values from splitting cycle types, sampled
-matrices from the defining relations of their group, per-sample random
+matrices from the defining relations of their group, Sp(2n) draws by
+quaternionic Gram-Schmidt instead of QR, per-sample random
 streams from a Generator built afresh for each sample, and Haar averages
 from the Weyl integration formula on the maximal torus, with the even
 orthogonal mirror sum taken as an elementary symmetric function of the
@@ -164,6 +165,50 @@ def reference_generator(seed: int, index: int) -> np.random.Generator:
     mask = (1 << 64) - 1
     key = np.array([seed & mask, index & mask], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def sp_gram_schmidt(n: int, streams) -> np.ndarray:
+    """Haar draws on Sp(2n) by quaternionic Gram-Schmidt, one per stream
+    handle, reading the same normals the sampler reads.
+
+    n complex Gaussian columns of height 2n are orthonormalized together
+    with their quaternionic partners T(v) = J conj(v), J = [[0,-I],[I,0]]:
+    column k is v_k with its components along c_j and T(c_j), j < k,
+    removed, then normalized.  A unitary matrix whose columns come in
+    (c, T c) pairs commutes with the antiunitary map x -> J conj(x), which
+    is the symplectic condition g J g^T = J for this J.  Orthogonalization
+    is two-pass classical Gram-Schmidt, whose residuals sit at rounding
+    level.
+    """
+    dim = 2 * n
+    z = np.empty((len(streams), 2, dim, n))
+    for row, stream in zip(z, streams):
+        rng = reference_generator(stream.seed, stream.index)
+        if stream.used:
+            rng.standard_normal(stream.used)
+        rng.standard_normal(out=row)
+        stream.used += row.size
+    v = z[:, 0] + 1j * z[:, 1]
+    del z
+
+    def partner(x):
+        out = np.empty_like(x)
+        out[..., :n] = -np.conj(x[..., n:])
+        out[..., n:] = np.conj(x[..., :n])
+        return out
+
+    g = np.zeros((len(streams), dim, dim), dtype=np.complex128)
+    for k in range(n):
+        col = v[:, :, k]
+        for _ in range(2):  # second pass scrubs the first pass's rounding
+            if k > 0:
+                basis = np.concatenate((g[:, :, :k], g[:, :, n : n + k]), axis=2)
+                overlaps = np.einsum("bij,bi->bj", np.conj(basis), col)
+                col = col - np.einsum("bij,bj->bi", basis, overlaps)
+        col = col / np.linalg.norm(col, axis=1, keepdims=True)
+        g[:, :, k] = col
+        g[:, :, n + k] = partner(col)
+    return g
 
 
 def torus_average(

@@ -229,9 +229,9 @@ def test_c09_character_table_vs_polynomial_oracle(capsys):
     checked = 0
     for k in range(1, 7):
         table = character_table(k)
-        for lam in table.labels:
-            for mu in table.classes:
-                if table.value(lam, mu) != frobenius_character(lam.parts, mu.parts):
+        for lam, row in zip(table.labels, table.values):
+            for mu, value in zip(table.classes, row):
+                if value != frobenius_character(lam.parts, mu.parts):
                     mismatches.append((lam, mu))
                 checked += 1
     report(capsys, 9,  "symmetric group characters match the polynomial oracle",

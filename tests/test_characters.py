@@ -70,10 +70,10 @@ def test_table_build_and_lookup():
     table = character_table(5)
     assert table.k == 5
     assert table.classes == table.labels == tuple(partitions_of(5))
-    for lam, row in zip(partitions_of(5), table.values):
+    for lam, row in zip(table.labels, table.values):
         assert row[-1] == hook_dimension(lam.parts)
-        for mu in partitions_of(5):
-            assert table.value(lam, mu) == character_value(lam, mu)
+        for mu, value in zip(table.classes, row):
+            assert value == character_value(lam, mu)
     assert table.values[0] == tuple(1 for _ in partitions_of(5))
     # process-level memo returns the same object
     assert character_table(5) is table

@@ -195,14 +195,14 @@ FORCED_REDRAWS = [
         GroupSpec.sp(4),
         TraceProductObservable(P("2,1")),
         ("trace_imag", 2.1e-16, 2.5e-16),
-        "0x1.0d5f9cc65df51p+6",
+        "0x1.f32aec5e232e6p+5",
         id="sp8-trace_imag",
     ),
     pytest.param(
         GroupSpec.sp(4),
         TwistedObservable(P("1"), P("1")),
         ("pairing", 3.2e-15, 4e-15),
-        "0x1.05a2b9d5f0806p+10",
+        "0x1.083f566625180p+10",
         id="sp8-pairing",
     ),
     pytest.param(

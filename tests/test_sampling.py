@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import RESIDUAL_LIMITS, matrix_residuals, reference_generator
+from oracles import RESIDUAL_LIMITS, matrix_residuals, reference_generator, sp_gram_schmidt
 
 from liemoments.config import DEFAULT_TOLERANCES
 from liemoments.groups import Family, GroupSpec
@@ -107,6 +108,40 @@ def test_sp_rank_one_is_su2():
         tr = np.trace(g)
         assert abs(tr.imag) < 1e-12
         assert -2.0 <= tr.real <= 2.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 10])
+def test_sp_draw_matches_gram_schmidt(n):
+    """The QR draw equals quaternionic Gram-Schmidt on the same normals up
+    to rounding, reads as many normals, and its partner half is exact."""
+    streams = [rng_for_sample(17, i) for i in range(300)]
+    fresh = [rng_for_sample(17, i) for i in range(300)]
+    g = sample_matrices(GroupSpec.sp(n), streams)
+    ref = sp_gram_schmidt(n, fresh)
+    assert np.max(np.abs(g - ref)) < 1e-13
+    assert [s.used for s in streams] == [s.used for s in fresh]
+    assert np.array_equal(g[:, n:, n:], np.conj(g[:, :n, :n]))
+    assert np.array_equal(g[:, :n, n:], -np.conj(g[:, n:, :n]))
+
+
+def _peak_bytes(draw) -> int:
+    streams = [rng_for_sample(8, i) for i in range(4096)]
+    tracemalloc.start()
+    try:
+        draw(streams)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sp_draw_memory_within_gram_schmidt():
+    """QR holds several copies of its input, so a whole 4096-sample chunk
+    of Sp(20) in one QR call would need more memory than Gram-Schmidt;
+    the draw must not."""
+    G = GroupSpec.sp(10)
+    qr_peak = _peak_bytes(lambda streams: sample_matrices(G, streams))
+    gs_peak = _peak_bytes(lambda streams: sp_gram_schmidt(10, streams))
+    assert qr_peak <= gs_peak
 
 
 def test_so2_angle_uniform():
