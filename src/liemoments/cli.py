@@ -497,7 +497,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verify",
         action="store_true",
-        help="evaluate both closed forms and fail on mismatch",
+        help=(
+            "also evaluate the Jacobi-Trudi determinant, which reads no "
+            "character value, and fail unless it equals the character sum"
+        ),
     )
     p.set_defaults(handler=cmd_ratio)
 

@@ -56,12 +56,10 @@ def expect_trace_product(G: GroupSpec, lam: Partition) -> int:
     subsequence at most 2n.
     """
     k = lam.weight
-    if G.covers_weight(k):
-        return _plain_average_stable(G.family, lam)
-    if G.family is Family.SP and lam.parts == (1,) * k:
+    if not G.covers_weight(k) and G.family is Family.SP and lam.parts == (1,) * k:
         return fpf_involutions_lds(k, 2 * G.rank)
     _require_stable(G, k)
-    raise AssertionError("unreachable")
+    return _plain_average_stable(G.family, lam)
 
 
 def expect_twisted_route_a(G: GroupSpec, gamma: Partition, lam: Partition) -> int:

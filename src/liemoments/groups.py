@@ -79,10 +79,6 @@ class GroupSpec:
         return self.rank is None
 
     @property
-    def epsilon(self) -> int:
-        return self.family.epsilon
-
-    @property
     def matrix_size(self) -> int:
         """Size of the defining matrices: 2n for Sp and SO(2n), 2n+1 for SO(2n+1)."""
         if self.rank is None:

@@ -86,7 +86,7 @@ def canonical_permutation(lam: Partition) -> np.ndarray:
     return sigma
 
 
-def g_bruteforce(lam: Partition, *, bound: int = BRUTE_FORCE_BOUND) -> int:
+def g_bruteforce(lam: Partition) -> int:
     """Count preserved matchings by scanning all of them.
 
     A matching with partner array p is preserved by sigma exactly when
@@ -98,9 +98,9 @@ def g_bruteforce(lam: Partition, *, bound: int = BRUTE_FORCE_BOUND) -> int:
         return 0
     if k == 0:
         return 1
-    if k > bound:
+    if k > BRUTE_FORCE_BOUND:
         raise ResourceBoundError(
-            f"brute force over matchings of {k} points exceeds bound {bound}"
+            f"brute force over matchings of {k} points exceeds bound {BRUTE_FORCE_BOUND}"
         )
     sigma = canonical_permutation(lam)
     p = matchings_array(k)

@@ -7,6 +7,10 @@ in an index-ordered array, and the mean is taken over that array with
 numpy's pairwise summation.  Worker count therefore cannot change any bit
 of the result, only the wall time.
 
+Every observable is one product, characters times power traces times Phi,
+evaluated by `_Product.evaluate`; the public classes only name their
+factors.
+
 Degenerate draws (failed conjugate pairing, vanishing Weyl denominator,
 complex trace residual) are redrawn from the same per-sample stream, which
 preserves determinism; a run where more than 1% of samples ever needed a
@@ -19,7 +23,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,117 +63,86 @@ class RatioEstimate:
     seed: int
 
 
-@dataclass
-class _EvalContext:
-    group: GroupSpec
-    traces: np.ndarray  # (batch, pmax) real
-    chars: dict[Partition, np.ndarray] = field(default_factory=dict)
+class _Product:
+    """An observable chi_{gamma_1} ... chi_{gamma_r} * prod_i tr(g^{lam_i}) * Phi.
 
+    Every observable has this one shape, and a subclass only declares its
+    factors as fields: `lam` for the power traces, `f` for Phi, and every
+    other field (`gamma`, `mu`) for a character.  Its label is `kind` with
+    the partition fields in brackets.  The value is multiplied from ones in
+    that order: characters, power traces, then Phi.
+    """
 
-@dataclass(frozen=True)
-class TraceProductObservable:
-    lam: Partition
+    kind: str
+    lam = Partition()
+    f: FourierData | None = None
+
+    @property
+    def char_labels(self) -> tuple[Partition, ...]:
+        """Character labels with repeats, in field order."""
+        return tuple(getattr(self, x.name) for x in fields(self) if x.name not in ("lam", "f"))
 
     @property
     def label(self) -> str:
-        return f"trace-product[{self.lam}]"
+        parts = [str(getattr(self, x.name)) for x in fields(self) if x.name != "f"]
+        return f"{self.kind}[{';'.join(parts)}]" if parts else self.kind
 
     def max_power(self) -> int:
-        return self.lam.parts[0] if self.lam else 0
+        support = self.f.support if self.f is not None else ()
+        return max((*self.lam.parts, *support), default=0)
 
     def characters(self) -> tuple[Partition, ...]:
-        return ()
+        return tuple(dict.fromkeys(self.char_labels))
 
-    def evaluate(self, ctx: _EvalContext) -> np.ndarray:
-        out = np.ones(ctx.traces.shape[0])
+    def evaluate(self, rank: int, traces: np.ndarray, chars: dict) -> np.ndarray:
+        """Per-sample values from the (batch, max power) real power traces
+        and the character values by label."""
+        out = np.ones(traces.shape[0])
+        for lab in self.char_labels:
+            out = out * chars[lab]
         for p in self.lam.parts:
-            out = out * ctx.traces[:, p - 1]
+            out = out * traces[:, p - 1]
+        if self.f is not None:
+            exponent = np.full(traces.shape[0], rank * float(self.f.c0))
+            for i, c in self.f.terms:
+                exponent = exponent + float(c) * traces[:, i - 1]
+            out = out * np.exp(exponent)
         return out
 
 
 @dataclass(frozen=True)
-class TwistedObservable:
+class TraceProductObservable(_Product):
+    lam: Partition
+    kind = "trace-product"
+
+
+@dataclass(frozen=True)
+class TwistedObservable(_Product):
     gamma: Partition
     lam: Partition
-
-    @property
-    def label(self) -> str:
-        return f"twisted[{self.gamma};{self.lam}]"
-
-    def max_power(self) -> int:
-        return self.lam.parts[0] if self.lam else 0
-
-    def characters(self) -> tuple[Partition, ...]:
-        return (self.gamma,)
-
-    def evaluate(self, ctx: _EvalContext) -> np.ndarray:
-        out = ctx.chars[self.gamma]
-        for p in self.lam.parts:
-            out = out * ctx.traces[:, p - 1]
-        return out
+    kind = "twisted"
 
 
 @dataclass(frozen=True)
-class PhiObservable:
+class PhiObservable(_Product):
     f: FourierData
-
-    @property
-    def label(self) -> str:
-        return "phi"
-
-    def max_power(self) -> int:
-        support = self.f.support
-        return support[-1] if support else 0
-
-    def characters(self) -> tuple[Partition, ...]:
-        return ()
-
-    def evaluate(self, ctx: _EvalContext) -> np.ndarray:
-        exponent = np.full(ctx.traces.shape[0], ctx.group.rank * float(self.f.c0))
-        for i, c in self.f.coeffs.items():
-            exponent = exponent + float(c) * ctx.traces[:, i - 1]
-        return np.exp(exponent)
+    kind = "phi"
 
 
 @dataclass(frozen=True)
-class TwistedPhiObservable:
+class TwistedPhiObservable(_Product):
     gamma: Partition
     f: FourierData
-
-    @property
-    def label(self) -> str:
-        return f"twisted-phi[{self.gamma}]"
-
-    def max_power(self) -> int:
-        support = self.f.support
-        return support[-1] if support else 0
-
-    def characters(self) -> tuple[Partition, ...]:
-        return (self.gamma,)
-
-    def evaluate(self, ctx: _EvalContext) -> np.ndarray:
-        return ctx.chars[self.gamma] * PhiObservable(self.f).evaluate(ctx)
+    kind = "twisted-phi"
 
 
 @dataclass(frozen=True)
-class CharacterProductObservable:
+class CharacterProductObservable(_Product):
     """Product of two character values; the orthonormality probe."""
 
     gamma: Partition
     mu: Partition
-
-    @property
-    def label(self) -> str:
-        return f"char-product[{self.gamma};{self.mu}]"
-
-    def max_power(self) -> int:
-        return 0
-
-    def characters(self) -> tuple[Partition, ...]:
-        return (self.gamma, self.mu) if self.gamma != self.mu else (self.gamma,)
-
-    def evaluate(self, ctx: _EvalContext) -> np.ndarray:
-        return ctx.chars[self.gamma] * ctx.chars[self.mu]
+    kind = "char-product"
 
 
 def _chunk_block(G, observables, seed, i0, i1, pmax, labels):
@@ -194,8 +167,7 @@ def _chunk_block(G, observables, seed, i0, i1, pmax, labels):
                 bad = bad | cbad
                 chars[lab] = values
         if not bad.any():
-            ctx = _EvalContext(group=G, traces=traces, chars=chars)
-            block = np.stack([obs.evaluate(ctx) for obs in observables])
+            block = np.stack([obs.evaluate(G.rank, traces, chars) for obs in observables])
             return block, int(ever_degenerate.sum())
         ever_degenerate |= bad
         idx = np.nonzero(bad)[0]

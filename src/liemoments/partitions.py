@@ -138,30 +138,26 @@ def _descending_parts(total: int, largest: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def partitions_of(k: int, *, bound: int = ENUMERATION_BOUND) -> list[Partition]:
+def partitions_of(k: int) -> list[Partition]:
     """All partitions of k in canonical (reverse lexicographic) order.
 
-    The first entry is (k) and the last is (1,...,1).  Guarded by `bound`
-    because callers usually enumerate in inner loops.
+    The first entry is (k) and the last is (1,...,1).  Guarded by
+    `ENUMERATION_BOUND` because callers usually enumerate in inner loops.
     """
     if k < 0:
         raise ValueError(f"cannot partition a negative integer {k}")
-    if k > bound:
+    if k > ENUMERATION_BOUND:
         raise ResourceBoundError(
-            f"refusing to enumerate partitions of {k} (bound {bound}); "
-            "raise the bound explicitly if this is intentional"
+            f"refusing to enumerate partitions of {k} (bound {ENUMERATION_BOUND})"
         )
     return [Partition(p) for p in _descending_parts(k, k)]
 
 
-def even_partitions_of(k: int, *, bound: int = ENUMERATION_BOUND) -> list[Partition]:
+def even_partitions_of(k: int) -> list[Partition]:
     """Partitions of k with all parts even, canonical order.  Empty for odd k."""
     if k % 2:
         return []
-    return [
-        Partition(2 * p for p in rho.parts)
-        for rho in partitions_of(k // 2, bound=bound)
-    ]
+    return [Partition(2 * p for p in rho.parts) for rho in partitions_of(k // 2)]
 
 
 def sub_splittings(lam: Partition, w: int) -> list[tuple[Partition, Partition, int]]:

@@ -3,9 +3,14 @@ multiplicative observable Phi built from finitely many Fourier coefficients.
 
 Phi is the class function e^{n c0} * exp(sum_i c_i tr g^i).  This module
 holds everything about it that does not require sampling: the limiting
-ratio R of twisted to plain averages (two arithmetic forms), the closed
-asymptotic formulas for the plain average per family, a truncated exact
-series for finite rank with a rigorous tail bound, and Weyl dimensions.
+ratio R of twisted to plain averages (a character sum, checked against an
+independent Jacobi-Trudi determinant), the closed asymptotic formulas for
+the plain average per family, a truncated exact series for finite rank
+with a rigorous tail bound, and Weyl dimensions.
+
+The coefficients' own scalars decide the arithmetic: with Fractions every
+value is an exact rational, with floats it is a float.  No function here
+takes a mode switch.
 
 Convention: the asymptotic limit formulas describe E[Phi]/e^{n c0}; the
 normalization is systematically reported, never silently mixed.
@@ -14,173 +19,135 @@ normalization is systematically reported, never silently mixed.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .errors import ConsistencyError
 from .expectations import expect_twisted
 from .groups import Family, GroupSpec, weyl_exponents
 from .characters import character_value
-from .partitions import Partition, partitions_of, z
+from .partitions import Partition, partitions_of
 
 
+#: a literal that keeps the coefficients exact: an integer or a/b fraction
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
+
+
+@dataclass(frozen=True)
 class FourierData:
     """Finitely supported symmetric Fourier coefficients of a symbol.
 
-    Only positive indices are stored; the symmetry c_{-i} = c_i is implicit.
-    Scalars are either all exact rationals or all floats; the mode is fixed
-    at construction and drives whether downstream identities are checked
-    exactly or numerically.
+    `terms` takes a mapping {i: c_i} or (i, c_i) pairs with i >= 1 and
+    stores them as sorted pairs with c_i nonzero; the symmetry c_{-i} = c_i
+    is implicit.  The scalars decide the arithmetic: int and Fraction values
+    all become Fractions and every result downstream stays an exact
+    rational, while a single float makes them all floats.
     """
 
-    __slots__ = ("c0", "_coeffs", "exact")
+    terms: tuple[tuple[int, object], ...] = ()
+    c0: object = 0
 
-    def __init__(
-        self,
-        coeffs: Mapping[int, object] | Iterable[tuple[int, object]] = (),
-        c0: object = 0,
-        *,
-        exact: bool | None = None,
-    ):
-        items = dict(coeffs)
-        for i in items:
-            if not isinstance(i, int) or i < 1:
-                raise ValueError(f"coefficient index must be a positive integer, got {i!r}")
-        values = [c0, *items.values()]
-        if exact is None:
-            exact = all(isinstance(v, (int, Fraction)) for v in values)
-        if exact:
-            try:
-                c0 = Fraction(c0)
-                items = {i: Fraction(v) for i, v in items.items()}
-            except (TypeError, ValueError) as exc:
-                raise ValueError("exact mode requires rational coefficients") from exc
-        else:
-            c0 = float(c0)
-            items = {i: float(v) for i, v in items.items()}
-        self.exact = bool(exact)
-        self.c0 = c0
-        self._coeffs = tuple(sorted((i, v) for i, v in items.items() if v))
+    def __post_init__(self):
+        items = dict(self.terms)
+        if not all(isinstance(i, int) and i >= 1 for i in items):
+            raise ValueError(f"coefficient indices must be positive integers, got {list(items)}")
+        exact = all(isinstance(v, (int, Fraction)) for v in [self.c0, *items.values()])
+        scalar = Fraction if exact else float
+        terms = ((i, scalar(v)) for i, v in sorted(items.items()))
+        object.__setattr__(self, "terms", tuple((i, v) for i, v in terms if v))
+        object.__setattr__(self, "c0", scalar(self.c0))
 
     @classmethod
     def parse(cls, text: str) -> "FourierData":
-        """Parse "c1=0.3,c2=-1/10"; exact mode when every value is an integer
-        or a/b fraction, float mode as soon as any decimal appears."""
-        text = text.strip()
-        pairs: dict[int, str] = {}
-        c0_text = "0"
-        if text:
-            for token in text.split(","):
-                token = token.strip()
-                if "=" not in token:
-                    raise ValueError(f"bad coefficient token {token!r}, expected cK=value")
-                name, _, value = token.partition("=")
-                name = name.strip().lower()
-                if not name.startswith("c") or not name[1:].isdigit():
-                    raise ValueError(f"bad coefficient name {name!r}, expected cK")
-                idx = int(name[1:])
-                if idx == 0:
-                    c0_text = value.strip()
-                else:
-                    pairs[idx] = value.strip()
-        literals = [c0_text, *pairs.values()]
-        exact = all(_is_rational_literal(v) for v in literals)
-        if exact:
-            return cls({i: Fraction(v) for i, v in pairs.items()}, Fraction(c0_text))
-        return cls({i: float(Fraction(v)) for i, v in pairs.items()}, float(Fraction(c0_text)))
+        """Parse "c1=0.3,c2=-1/10"; exact when every value is an integer or
+        a/b fraction, float as soon as any other number appears."""
+        literals: dict[int, str] = {}
+        for token in text.split(",") if text.strip() else ():
+            name, eq, value = (part.strip() for part in token.partition("="))
+            if not eq or not re.fullmatch(r"c\d+", name.lower()):
+                raise ValueError(f"bad coefficient {token.strip()!r}, expected cK=value")
+            if int(name[1:]) in literals:
+                raise ValueError(f"coefficient {name} is given twice")
+            literals[int(name[1:])] = value
+        try:
+            values = {i: Fraction(v) for i, v in literals.items()}
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in coefficients {text!r}") from None
+        if not all(_RATIONAL.fullmatch(v) for v in literals.values()):
+            values = {i: float(v) for i, v in values.items()}
+        c0 = values.pop(0, 0)
+        return cls(values, c0)
+
+    @property
+    def exact(self) -> bool:
+        return isinstance(self.c0, Fraction)
 
     @property
     def coeffs(self) -> dict[int, object]:
-        return dict(self._coeffs)
+        return dict(self.terms)
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self._coeffs)
-
-    def coefficient(self, i: int):
-        for j, v in self._coeffs:
-            if j == i:
-                return v
-        return Fraction(0) if self.exact else 0.0
-
-    def as_float(self) -> "FourierData":
-        if not self.exact:
-            return self
-        return FourierData(
-            {i: float(v) for i, v in self._coeffs}, float(self.c0), exact=False
-        )
-
-    def __eq__(self, other):
-        if isinstance(other, FourierData):
-            return (
-                self.exact == other.exact
-                and self.c0 == other.c0
-                and self._coeffs == other._coeffs
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.exact, self.c0, self._coeffs))
-
-    def __repr__(self):
-        body = ",".join(f"c{i}={v}" for i, v in self._coeffs)
-        mode = "exact" if self.exact else "float"
-        return f"FourierData(c0={self.c0}, {body or 'zero'}, {mode})"
-
-
-def _is_rational_literal(text: str) -> bool:
-    text = text.strip()
-    if not text:
-        return False
-    body = text[1:] if text[0] in "+-" else text
-    if "/" in body:
-        num, _, den = body.partition("/")
-        return num.isdigit() and den.isdigit()
-    return body.isdigit()
+        return tuple(i for i, _ in self.terms)
 
 
 def ratio_character_sum(gamma: Partition, f: FourierData):
     """Limiting twisted-to-plain ratio R as the character sum over partitions
     of |gamma|: sum of chi_gamma(lam) * prod c_i^{mult}/mult!."""
-    one = Fraction(1) if f.exact else 1.0
-    total = Fraction(0) if f.exact else 0.0
+    c = f.coeffs
+    total = 0
     for lam in partitions_of(gamma.weight):
-        term = one
+        term = 1
         for i, a in lam.multiplicities().items():
-            ci = f.coefficient(i)
-            if not ci:
-                term = 0
+            if i not in c:
                 break
-            term = term * ci**a / math.factorial(a)
-        if term:
+            term = term * c[i] ** a / math.factorial(a)
+        else:
             total += character_value(gamma, lam) * term
     return total
 
 
 def ratio_schur_specialization(gamma: Partition, f: FourierData):
-    """Same ratio through the Schur polynomial: expand s_gamma into power
-    sums with coefficients chi_gamma(lam)/z(lam), then set p_i := i*c_i."""
-    one = Fraction(1) if f.exact else 1.0
-    total = Fraction(0) if f.exact else 0.0
-    for lam in partitions_of(gamma.weight):
-        chi = character_value(gamma, lam)
-        if not chi:
-            continue
-        term = one
-        for i, a in lam.multiplicities().items():
-            term = term * (i * f.coefficient(i)) ** a
-        if f.exact:
-            total += Fraction(chi, z(lam)) * term
-        else:
-            total += chi * term / z(lam)
-    return total
+    """Same ratio as the Schur function s_gamma at p_i = i*c_i, by the
+    Jacobi-Trudi determinant det(h_{gamma_i - i + j}).  The complete
+    symmetric functions come from Newton's identity k h_k = sum_r p_r h_{k-r};
+    no symmetric group character is read."""
+    c = f.coeffs
+    h = [Fraction(1)]  # exact on Fractions; a float coefficient turns it float
+    for k in range(1, gamma.weight + 1):
+        h.append(sum(r * c.get(r, 0) * h[k - r] for r in range(1, k + 1)) / k)
+    size = gamma.length
+    return _determinant(
+        [[h[d] if d >= 0 else 0 for d in range(p - i, p - i + size)] for i, p in enumerate(gamma.parts)]
+    )
+
+
+def _determinant(rows: list[list]):
+    """Determinant by Gaussian elimination with largest-magnitude pivots;
+    exact on Fractions."""
+    det = 1
+    for col in range(len(rows)):
+        pivot = max(range(col, len(rows)), key=lambda r: abs(rows[r][col]))
+        if not rows[pivot][col]:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        top = rows[col]
+        det *= top[col]
+        for row in rows[col + 1 :]:
+            factor = row[col] / top[col]
+            for j in range(col, len(rows)):
+                row[j] -= factor * top[j]
+    return det
 
 
 @dataclass(frozen=True)
 class SchurSpecialization:
-    """The ratio R carried with its label; construction in verification mode
-    asserts the two defining forms agree."""
+    """The ratio R carried with its label, from the character sum; in
+    verification mode the Jacobi-Trudi determinant, which reads no character
+    value, must agree: exactly on Fractions, to 1e-9 on floats."""
 
     gamma: Partition
     value: object
@@ -216,9 +183,7 @@ def johansson_limit(family: Family, f: FourierData) -> float:
 def twisted_asymptotic(family: Family, gamma: Partition, f: FourierData) -> float:
     """Limit of E[chi_gamma * Phi]/e^{n c0}: the ratio R times the plain
     asymptotic limit."""
-    return float(ratio_schur_specialization(gamma, f.as_float())) * johansson_limit(
-        family, f
-    )
+    return float(ratio_character_sum(gamma, f)) * johansson_limit(family, f)
 
 
 def _supported_partitions(support: tuple[int, ...], cutoff: int):
@@ -254,8 +219,8 @@ def expect_phi_series(
     dim * e^{n c0} * (exp(m * sum|c_i|) - sum of retained |coefficient|
     weights with c_i replaced by m*|c_i|).
 
-    In exact mode with c0 = 0 the value is an exact rational; otherwise a
-    float.
+    With exact coefficients and c0 = 0 the value is an exact rational;
+    otherwise a float.
     """
     if G.is_stable:
         raise ValueError("series evaluation needs a finite rank")
@@ -269,18 +234,18 @@ def expect_phi_series(
         raise ValueError(f"weight cutoff must be non-negative, got {weight_cutoff}")
 
     exact_out = f.exact and f.c0 == 0
-    support = f.support
-    total = Fraction(0) if exact_out else 0.0
+    c = f.coeffs
+    total = 0
     m = G.matrix_size
     retained_weight = 0.0  # sum of |series coefficients| at the tail's scale
-    for spec in _supported_partitions(support, weight_cutoff):
+    for spec in _supported_partitions(f.support, weight_cutoff):
         lam = Partition(i for i, a in spec for _ in range(a))
-        coeff = Fraction(1) if f.exact else 1.0
+        coeff = 1
         tail_term = 1.0
         for i, a in spec:
             fact = math.factorial(a)
-            coeff = coeff * f.coefficient(i) ** a / fact
-            tail_term *= (m * abs(float(f.coefficient(i)))) ** a / fact
+            coeff = coeff * c[i] ** a / fact
+            tail_term *= (m * abs(float(c[i]))) ** a / fact
         retained_weight += tail_term
         value = expect_twisted(G, gamma, lam)
         if value:
@@ -291,7 +256,7 @@ def expect_phi_series(
     if not exact_out:
         total = float(total) * prefactor
     dim = weyl_dimension(G.family, n, gamma)
-    full_weight = math.exp(m * sum(abs(float(c)) for c in f.coeffs.values()))
+    full_weight = math.exp(m * sum(abs(float(v)) for v in c.values()))
     tail_bound = dim * prefactor * max(0.0, full_weight - retained_weight)
     return total, tail_bound
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -269,11 +270,35 @@ def test_exit_code_2_on_bad_input(capsys):
 )
 @pytest.mark.parametrize("pretty", [False, True], ids=["json", "pretty"])
 def test_overflow_exits_2_with_empty_stdout(argv, pretty, capsys):
-    # an overflowed or non-finite float is refused before anything is written
-    code, out, err = run_cli(argv + ["--pretty"] * pretty, capsys)
+    # an overflowed or non-finite float is refused before anything is written;
+    # the sampled Phi overflows exp and its mean and stderr turn non-finite
+    sampled = argv[0] == "mc-verify"
+    with pytest.warns(RuntimeWarning) if sampled else contextlib.nullcontext():
+        code, out, err = run_cli(argv + ["--pretty"] * pretty, capsys)
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ratio", "--gamma", "1"],
+        ["asymptotics", "--family", "sp"],
+        ["mc-verify", "--group", "sp", "--n", "2", "--samples", "100"],
+    ],
+    ids=["ratio", "asymptotics", "mc-verify"],
+)
+@pytest.mark.parametrize(
+    "coeffs",
+    ["c1=1/0", "c1=0.5,c2=1/0", "c1=1,c1=2"],
+    ids=["zero-denominator", "zero-denominator-float", "duplicate-index"],
+)
+def test_bad_coeffs_exit_2_with_empty_stdout(argv, coeffs, capsys):
+    code, out, err = run_cli(argv + ["--coeffs", coeffs], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_exit_code_3_below_stable_range(capsys):

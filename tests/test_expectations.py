@@ -54,7 +54,7 @@ def test_stable_trace_products():
     for (lam_text, eps), expected in STABLE_TABLE.items():
         lam = P(lam_text)
         for G in FAMILIES:
-            if G.epsilon == eps:
+            if G.family.epsilon == eps:
                 assert expect_trace_product(G, lam) == expected, (G, lam)
 
 

@@ -155,6 +155,51 @@ def test_observable_labels():
     assert PhiObservable(FourierData({})).max_power() == 0
 
 
+_PIN_PHI = FourierData.parse("c0=1/10,c1=2/5,c2=-1/5,c3=1/10")
+_PIN_OBSERVABLES = [
+    TraceProductObservable(P("")),
+    TraceProductObservable(P("2,1,1")),
+    TwistedObservable(P("1,1"), P("2")),
+    TwistedObservable(P("1"), P("1,1,1")),
+    PhiObservable(_PIN_PHI),
+    TwistedPhiObservable(P("2"), _PIN_PHI),
+    CharacterProductObservable(P("1,1"), P("1,1")),
+    CharacterProductObservable(P("1"), P("2,1")),
+]
+# (mean, stderr) as float.hex of each observable above, 3000 samples at seed 2026
+_PINNED = {
+    GroupSpec.sp(2): [
+        ("0x1.0000000000000p+0", "0x0.0p+0"),
+        ("-0x1.f3290087f617ap-1", "0x1.e91b7b532436ep-6"),
+        ("-0x1.f9d5dad48089ep-1", "0x1.9bc6136cac1c6p-6"),
+        ("0x1.6ece1c7a628f6p+1", "0x1.31553c1f3ae33p-3"),
+        ("0x1.a82453ea070fep+0", "0x1.c32aab155945cp-7"),
+        ("-0x1.a88ca5fd61f46p-3", "0x1.30d9101012c7ep-5"),
+        ("0x1.f6a34e4709ad1p-1", "0x1.965ff97ed01cbp-6"),
+        ("-0x1.46654b575d093p-5", "0x1.17d728b0fb71fp-5"),
+    ],
+    GroupSpec.so_even(4): [
+        ("0x1.0000000000000p+0", "0x0.0p+0"),
+        ("0x1.e47385eca03eep-1", "0x1.a77b70ed2d518p-5"),
+        ("-0x1.0765fed429303p+0", "0x1.4f23cf93174ebp-5"),
+        ("0x1.4d43a995b3105p+1", "0x1.24844f80d6423p-3"),
+        ("0x1.63f1146bd1c93p+0", "0x1.e899a733b3130p-7"),
+        ("-0x1.23ca738d6211dp-2", "0x1.1256c3c5c2f4bp-5"),
+        ("0x1.db8cc6eeb430cp-1", "0x1.2dbd2a376472cp-5"),
+        ("-0x1.7edc456487bb1p-4", "0x1.f308b50cbea5ap-6"),
+    ],
+}
+
+
+@pytest.mark.parametrize("G", list(_PINNED), ids=["sp4", "so8"])
+def test_every_observable_shape_is_pinned_bit_for_bit(G):
+    # one shared draw per group covers all five observable classes, an empty
+    # lambda, repeated parts and a squared character
+    results = estimate_many(G, _PIN_OBSERVABLES, 3000, seed=2026, threads=1)
+    got = [(e.mean.hex(), e.stderr.hex()) for e in results]
+    assert got == _PINNED[G]
+
+
 def test_too_few_samples():
     with pytest.raises(ValueError):
         estimate(GroupSpec.sp(2), TraceProductObservable(P("1")), 99, seed=0)

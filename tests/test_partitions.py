@@ -75,9 +75,7 @@ def test_enumeration_counts_and_order():
 def test_enumeration_bound():
     with pytest.raises(ResourceBoundError):
         partitions_of(31)
-    assert len(partitions_of(12, bound=12)) == 77
-    with pytest.raises(ResourceBoundError):
-        partitions_of(13, bound=12)
+    assert len(partitions_of(30)) == 5604
 
 
 def test_even_partitions():

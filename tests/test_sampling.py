@@ -264,10 +264,10 @@ def test_eval_trace_product():
 def test_eval_phi():
     G = GroupSpec.so_odd(2)
     traces, _ = trace_powers_batch(_draws(G, 13, 1), 1)
-    f = FourierData({1: 0.3}, exact=False)
+    f = FourierData({1: 0.3})
     observables = [
         PhiObservable(FourierData({})),
-        PhiObservable(FourierData({}, c0=1, exact=False)),
+        PhiObservable(FourierData({}, c0=1.0)),
         PhiObservable(f),
     ]
     trivial, constant, linear = sample_values(G, observables, 100, 13, threads=1)[:, 0]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -26,9 +27,7 @@ P = Partition.parse
 def test_fourier_parse_exact_mode():
     f = FourierData.parse("c1=1/2,c2=-1/10")
     assert f.exact
-    assert f.coefficient(1) == Fraction(1, 2)
-    assert f.coefficient(2) == Fraction(-1, 10)
-    assert f.coefficient(3) == 0
+    assert f.coeffs == {1: Fraction(1, 2), 2: Fraction(-1, 10)}
     assert f.c0 == 0
     assert f.support == (1, 2)
 
@@ -36,8 +35,7 @@ def test_fourier_parse_exact_mode():
 def test_fourier_parse_float_mode():
     f = FourierData.parse("c1=0.3,c2=-1/10")
     assert not f.exact
-    assert f.coefficient(1) == pytest.approx(0.3)
-    assert f.coefficient(2) == pytest.approx(-0.1)
+    assert f.coeffs == {1: pytest.approx(0.3), 2: pytest.approx(-0.1)}
 
 
 def test_fourier_parse_c0_and_empty():
@@ -50,6 +48,46 @@ def test_fourier_parse_c0_and_empty():
         FourierData.parse("c1")
 
 
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("", ("exact", {}, 0)),
+        ("c1=1/2,c2=-1/10", ("exact", {1: Fraction(1, 2), 2: Fraction(-1, 10)}, 0)),
+        ("  c1 = 1/2 ,  c3=2 ", ("exact", {1: Fraction(1, 2), 3: 2}, 0)),
+        ("C2=+3", ("exact", {2: 3}, 0)),
+        ("c0=-2,c1=0", ("exact", {}, -2)),
+        ("c0=1/2,c1=0.25", ("float", {1: 0.25}, 0.5)),
+        ("c1=1e-3", ("float", {1: 0.001}, 0.0)),
+        ("c1=-0.5,c2=1/4", ("float", {1: -0.5, 2: 0.25}, 0.0)),
+        ("c1=1,", ValueError),
+        (",", ValueError),
+        ("c-1=2", ValueError),
+        ("c1", ValueError),
+        ("d1=2", ValueError),
+        ("c=1", ValueError),
+        ("c1=", ValueError),
+        ("c1=zero", ValueError),
+        ("c1=nan", ValueError),
+        ("c1=inf", ValueError),
+        ("c1=1/0", ValueError),
+        ("c1=0.5,c2=1/0", ValueError),
+        ("c1=1,c1=2", ValueError),
+        ("c0=1,c00=2", ValueError),
+    ],
+)
+def test_fourier_parse_table(text, want):
+    if want is ValueError:
+        with pytest.raises(ValueError):
+            FourierData.parse(text)
+        return
+    mode, coeffs, c0 = want
+    f = FourierData.parse(text)
+    assert f.exact == (mode == "exact")
+    assert f.coeffs == coeffs and f.c0 == c0
+    kind = Fraction if f.exact else float
+    assert all(type(v) is kind for v in [f.c0, *f.coeffs.values()])
+
+
 def test_fourier_construction_rules():
     assert FourierData({1: 0, 2: Fraction(1, 3)}).support == (2,)
     with pytest.raises(ValueError):
@@ -58,8 +96,13 @@ def test_fourier_construction_rules():
         FourierData({-2: 1})
     f = FourierData({2: Fraction(1, 2)}, c0=1)
     assert f.exact and f.c0 == 1
-    g = f.as_float()
-    assert not g.exact and g.coefficient(2) == 0.5
+    assert f == FourierData([(2, Fraction(1, 2))], Fraction(1))
+    g = FourierData({2: Fraction(1, 2), 3: 0.25}, c0=1)
+    assert not g.exact and type(g.c0) is float and g.coeffs == {2: 0.5, 3: 0.25}
+    assert FourierData({3: 1, 1: 2}).support == (1, 3)
+    assert len({f, FourierData({2: Fraction(1, 2)}, c0=1)}) == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.c0 = 2
 
 
 def test_ratio_closed_forms_small_labels():
@@ -105,7 +148,7 @@ def test_ratio_multiplicative_under_lr():
 
 
 def test_johansson_limits():
-    f = FourierData({1: 0.3}, exact=False)
+    f = FourierData({1: 0.3})
     assert johansson_limit(Family.SP, f) == pytest.approx(math.exp(0.045))
     assert johansson_limit(Family.SO_ODD, f) == pytest.approx(math.exp(0.045))
     assert johansson_limit(Family.SO_EVEN, f) == pytest.approx(math.exp(0.045))
@@ -116,7 +159,7 @@ def test_johansson_limits():
 
 def test_johansson_log_identity_even_support():
     # with only even-index coefficients the sp and so-even linear terms cancel
-    f = FourierData({2: 0.25, 4: -0.125}, exact=False)
+    f = FourierData({2: 0.25, 4: -0.125})
     quad = sum(i * c * c for i, c in f.coeffs.items())
     lhs = math.log(johansson_limit(Family.SO_EVEN, f)) + math.log(
         johansson_limit(Family.SP, f)
@@ -127,12 +170,12 @@ def test_johansson_log_identity_even_support():
     assert johansson_limit(Family.SO_ODD, f) == pytest.approx(
         math.exp(quad / 2 + 0.125)
     )
-    g = FourierData({1: 0.3, 2: 0.25}, exact=False)
+    g = FourierData({1: 0.3, 2: 0.25})
     assert johansson_limit(Family.SO_ODD, g) == johansson_limit(Family.SO_EVEN, g)
 
 
 def test_twisted_asymptotic():
-    f = FourierData({1: 0.3}, exact=False)
+    f = FourierData({1: 0.3})
     assert twisted_asymptotic(Family.SP, P("1"), f) == pytest.approx(
         0.3 * math.exp(0.045)
     )
@@ -164,7 +207,7 @@ def test_phi_series_trivial_cases():
     G = GroupSpec.so_odd(4)
     value, tail = expect_phi_series(G, P(""), FourierData({}), 4)
     assert value == 1 and tail == 0.0
-    value, tail = expect_phi_series(G, P(""), FourierData({}, c0=1.5, exact=False), 3)
+    value, tail = expect_phi_series(G, P(""), FourierData({}, c0=1.5), 3)
     assert value == pytest.approx(math.exp(4 * 1.5))
 
 
