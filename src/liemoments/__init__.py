@@ -2,7 +2,10 @@
 over the compact classical groups, with a Monte Carlo cross-check harness.
 
 The package root exports the query entry points; everything else is
-imported from its module.
+imported from its module.  The exact modules run in pure `Fraction`
+arithmetic and never load numpy, so the Monte Carlo names resolve on first
+access (PEP 562): importing the package or any exact entry point leaves
+numpy unloaded until an estimate is asked for.
 """
 
 from __future__ import annotations
@@ -12,16 +15,6 @@ from .expectations import expect_trace_product, expect_twisted
 from .groups import Family, GroupSpec
 from .lr import branching_decomposition, lr_coefficient
 from .matchings import fpf_involutions_lds, g_bruteforce, g_closed
-from .montecarlo import (
-    CharacterProductObservable,
-    PhiObservable,
-    TraceProductObservable,
-    TwistedObservable,
-    TwistedPhiObservable,
-    estimate,
-    estimate_many,
-    estimate_ratio,
-)
 from .partitions import Partition, partitions_of
 from .szego import (
     FourierData,
@@ -60,3 +53,18 @@ __all__ = [
     "partitions_of",
     "twisted_asymptotic",
 ]
+
+
+def __getattr__(name: str):
+    # the names of __all__ that the imports above leave unbound are those of
+    # `montecarlo`, which imports numpy, so they are bound on first access
+    if name in __all__:
+        from . import montecarlo
+
+        value = globals()[name] = getattr(montecarlo, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -35,13 +35,6 @@ from .expectations import expect_trace_product, expect_twisted
 from .groups import Family, GroupSpec
 from .lr import branching_decomposition, lr_coefficient
 from .matchings import fpf_involutions_lds, g_bruteforce, g_closed
-from .montecarlo import (
-    PhiObservable,
-    TraceProductObservable,
-    TwistedObservable,
-    TwistedPhiObservable,
-    estimate,
-)
 from .partitions import Partition, partitions_of
 from .szego import FourierData, SchurSpecialization, johansson_limit, twisted_asymptotic
 
@@ -291,6 +284,15 @@ def cmd_g(args) -> dict:
 
 
 def cmd_mc_verify(args) -> dict:
+    # the only command that samples; the others start without numpy
+    from .montecarlo import (
+        PhiObservable,
+        TraceProductObservable,
+        TwistedObservable,
+        TwistedPhiObservable,
+        estimate,
+    )
+
     if (args.lam is None) == (args.coeffs is None):
         raise CLIError("mc-verify needs one observable: pass --lambda or --coeffs")
     family = Family.parse(args.group)

@@ -6,7 +6,9 @@ force over all (k-1)!! matchings, or through the per-part-value product
 formula, and for the single-cycle-type tail there is the small-rank count
 of fixed-point-free involutions filtered by decreasing-subsequence length.
 These routes are kept strictly separate: the brute force is the oracle the
-closed form is tested against.
+closed form is tested against.  Only the brute force is vectorized, and it
+imports numpy when first called, so the closed form and the involution
+count run without it.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from math import comb
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ResourceBoundError
 from .partitions import Partition
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: (k-1)!! matchings at k = 14 is 135135 rows of 14 ints; beyond that the
 #: exhaustive routes stop being "seconds" and the guard kicks in.
@@ -64,6 +68,8 @@ def matchings(k: int):
 @lru_cache(maxsize=None)
 def matchings_array(k: int) -> np.ndarray:
     """All matchings of k points stacked into an ((k-1)!!, k) partner array."""
+    import numpy as np
+
     if k > BRUTE_FORCE_BOUND:
         raise ResourceBoundError(
             f"matchings_array(k={k}) exceeds the brute-force bound {BRUTE_FORCE_BOUND}"
@@ -76,6 +82,8 @@ def matchings_array(k: int) -> np.ndarray:
 def canonical_permutation(lam: Partition) -> np.ndarray:
     """One fixed permutation of cycle type lam, with cycles laid out on
     consecutive points: image array sigma with sigma[i] the image of i."""
+    import numpy as np
+
     k = lam.weight
     sigma = np.arange(k, dtype=np.int64)
     start = 0
@@ -102,6 +110,8 @@ def g_bruteforce(lam: Partition) -> int:
         raise ResourceBoundError(
             f"brute force over matchings of {k} points exceeds bound {BRUTE_FORCE_BOUND}"
         )
+    import numpy as np
+
     sigma = canonical_permutation(lam)
     p = matchings_array(k)
     preserved = np.all(p[:, sigma] == sigma[p], axis=1)

@@ -15,12 +15,15 @@ Degenerate draws (failed conjugate pairing, vanishing Weyl denominator,
 complex trace residual) are redrawn from the same per-sample stream, which
 preserves determinism; a run where more than 1% of samples ever needed a
 redraw aborts, because that signals a broken configuration rather than
-bad luck.
+bad luck.  An observable whose values could overflow the stderr is
+refused before the first draw (`_check_range`).
 """
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
@@ -38,11 +41,13 @@ from .sampling import (
     trace_powers_batch,
     weyl_character_batch,
 )
-from .szego import FourierData
+from .szego import FourierData, weyl_dimension
 
 CHUNK = 4096
 MAX_RESAMPLE_ROUNDS = 12
 DEGENERACY_BUDGET = 0.01
+#: ln of the largest float; exp overflows beyond it
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -177,6 +182,29 @@ def _chunk_block(G, observables, seed, i0, i1, pmax, labels):
     )
 
 
+def _check_range(G: GroupSpec, obs: _Product, samples: int) -> None:
+    """Refuse an observable whose estimate could overflow, before any draw.
+
+    Each value is at most B = prod_gamma dim(gamma) * m^l(lam) * exp(E) in
+    size, since |chi_gamma| <= dim(gamma), |tr g^p| <= m for matrix size m
+    and |log Phi| <= E = n|c0| + m sum_i |c_i|.  The stderr sums `samples`
+    squared deviations from the mean, each at most (2B)^2, so that sum
+    stays finite when 2 ln(2B) + ln(samples) <= ln of the largest float.
+    """
+    n, m = G.rank, G.matrix_size
+    log_scale = obs.lam.length * math.log(m) + sum(
+        math.log(weyl_dimension(G.family, n, lab)) for lab in obs.char_labels
+    )
+    room = (_LOG_FLOAT_MAX - math.log(samples)) / 2 - math.log(2) - log_scale
+    f = obs.f
+    exponent = n * abs(f.c0) + m * sum(abs(c) for _, c in f.terms) if f is not None else 0
+    if exponent > room:
+        raise ValueError(
+            f"{obs.label} is too large to estimate on {G} from {samples} samples: "
+            f"its stderr squares the values, which needs n|c0| + m*sum|c_i| <= {room:.6g}"
+        )
+
+
 def sample_values(
     G: GroupSpec,
     observables,
@@ -202,6 +230,7 @@ def sample_values(
                 raise ValueError(f"character label {lab} is longer than the rank {n}")
             if lab not in labels:
                 labels.append(lab)
+        _check_range(G, obs, samples)
     pmax = max((obs.max_power() for obs in observables), default=0)
 
     values = np.empty((len(observables), samples))

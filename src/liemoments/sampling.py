@@ -70,8 +70,10 @@ def _normals(streams, shape) -> np.ndarray:
 
     One Philox per call is re-keyed to each stream in turn (counter zero,
     empty buffer), skips the normals that stream already gave, and fills
-    its row; calls share no generator state, so threads may run them
-    side by side.
+    its row.  Calls share no generator state, so threads may call it
+    concurrently and get the same bits, but not faster: each row's
+    `standard_normal` gives up and retakes the interpreter lock, and two
+    threads contending for it run slower than one.
     """
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
@@ -265,19 +264,78 @@ def test_exit_code_2_on_bad_input(capsys):
         ["asymptotics", "--family", "sp", "--coeffs", "c1=1000"],
         ["ratio", "--gamma", "3", "--coeffs", "c1=1e200"],
         ["mc-verify", "--group", "sp", "--n", "1", "--coeffs", "c1=1000", "--samples", "100"],
+        ["mc-verify", "--group", "sp", "--n", "1", "--coeffs", "c1=200", "--samples", "100"],
     ],
-    ids=["asymptotics", "ratio", "mc-verify"],
+    ids=["asymptotics", "ratio", "mc-verify", "mc-verify-stderr"],
 )
 @pytest.mark.parametrize("pretty", [False, True], ids=["json", "pretty"])
 def test_overflow_exits_2_with_empty_stdout(argv, pretty, capsys):
     # an overflowed or non-finite float is refused before anything is written;
-    # the sampled Phi overflows exp and its mean and stderr turn non-finite
-    sampled = argv[0] == "mc-verify"
-    with pytest.warns(RuntimeWarning) if sampled else contextlib.nullcontext():
-        code, out, err = run_cli(argv + ["--pretty"] * pretty, capsys)
+    # mc-verify refuses before sampling, since at c1=1000 exp overflows and at
+    # c1=200 the stderr's squares would
+    code, out, err = run_cli(argv + ["--pretty"] * pretty, capsys)
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize("gamma", [[], ["--gamma", "1"]], ids=["phi", "twisted-phi"])
+def test_mc_verify_range_refusal_is_tight(gamma, capsys):
+    # on Sp(2) from 100 samples the bound admits 2*c1 <= 351.2 (351.9 untwisted):
+    # c1 = 175 samples without a numpy warning (warnings are errors here) and
+    # c1 = 176 is refused with empty stdout
+    argv = ["mc-verify", "--group", "sp", "--n", "1", "--samples", "100", *gamma]
+    doc = run_json(argv + ["--coeffs", "c1=175"], capsys)
+    assert math.isfinite(doc["mc"]["mean"]) and math.isfinite(doc["mc"]["stderr"])
+    code, out, err = run_cli(argv + ["--coeffs", "c1=176"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "too large to estimate" in err
+
+
+# Run in a fresh interpreter: imports the package and the CLI, runs every
+# exact command once, and checks numpy is still unloaded; then runs the
+# commands that need numpy.
+_IMPORT_BOUNDARY = """
+import contextlib, io, sys
+import liemoments
+import liemoments.cli as cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+
+run("expect-trace", "--group", "sp", "--lambda", "2,1,1")
+run("expect-trace", "--group", "sp", "--rank", "1", "--lambda", "1,1,1,1")
+run("expect-twisted", "--group", "so-odd", "--gamma", "1", "--lambda", "2,1", "--verify")
+run("ratio", "--gamma", "2", "--coeffs", "c1=1/2,c2=1/3", "--verify")
+run("asymptotics", "--family", "sp", "--gamma", "1", "--coeffs", "c1=0.3")
+run("branch", "--family", "sp", "--lambda", "2,2")
+run("lr", "--lambda", "2,1", "--mu", "1", "--nu", "2")
+run("g", "--lambda", "2,2", "--method", "closed")
+run("g", "--lambda", "1,1,1,1", "--method", "rains:2")
+run("char-table", "--k", "5", "--cache-dir", sys.argv[1])
+assert "numpy" not in sys.modules, "an exact command loaded numpy"
+
+run("mc-verify", "--group", "sp", "--n", "1", "--lambda", "1,1", "--samples", "100")
+run("g", "--lambda", "2,2", "--method", "brute")
+run("selftest")
+G = liemoments.GroupSpec.sp(1)
+est = liemoments.estimate(G, liemoments.TraceProductObservable(liemoments.Partition([1, 1])), 100, 1)
+assert est.samples == 100
+assert set(liemoments.__all__) <= set(dir(liemoments))
+"""
+
+
+def test_exact_commands_leave_numpy_unloaded(tmp_path):
+    src = os.path.dirname(os.path.dirname(liemoments.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _IMPORT_BOUNDARY, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -205,6 +205,17 @@ def test_too_few_samples():
         estimate(GroupSpec.sp(2), TraceProductObservable(P("1")), 99, seed=0)
 
 
+def test_symbol_too_large_is_refused_before_any_draw(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sampled before the range check")
+
+    monkeypatch.setattr(montecarlo, "sample_matrices", no_draws)
+    big = FourierData.parse("c1=1000")
+    for obs in (PhiObservable(big), TwistedPhiObservable(P("1"), big)):
+        with pytest.raises(ValueError, match="too large to estimate"):
+            estimate(GroupSpec.sp(1), obs, 100, seed=0)
+
+
 def test_stable_group_rejected():
     with pytest.raises(ValueError):
         estimate(GroupSpec.sp(None), TraceProductObservable(P("1")), 500, seed=0)
