@@ -39,6 +39,7 @@ copies of its input.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,29 +66,36 @@ def rng_for_sample(seed: int, index: int) -> SampleStream:
     return SampleStream(seed, index)
 
 
+#: serializes the row loop of `_normals` across threads
+_NORMALS_LOCK = threading.Lock()
+
+
 def _normals(streams, shape) -> np.ndarray:
     """The next normals of each stream, stacked to (len(streams), *shape).
 
     One Philox per call is re-keyed to each stream in turn (counter zero,
     empty buffer), skips the normals that stream already gave, and fills
-    its row.  Calls share no generator state, so threads may call it
-    concurrently and get the same bits, but not faster: each row's
-    `standard_normal` gives up and retakes the interpreter lock, and two
-    threads contending for it run slower than one.
+    its row.  Calls share no generator state, so the bits do not depend on
+    which thread makes them.  Each row's `standard_normal` gives up and
+    retakes the interpreter lock, so two threads filling side by side hand
+    it back and forth and run slower than one; the row loop therefore holds
+    a process-wide lock and runs as one block, while other threads' QR and
+    matrix products, which release the interpreter lock, still overlap it.
     """
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
     state = bitgen.state
     key = state["state"]["key"]
     out = np.empty((len(streams), *shape))
-    for row, stream in zip(out, streams):
-        key[0] = stream.seed & _MASK64
-        key[1] = stream.index & _MASK64
-        bitgen.state = state
-        if stream.used:
-            rng.standard_normal(stream.used)
-        rng.standard_normal(out=row)
-        stream.used += row.size
+    with _NORMALS_LOCK:
+        for row, stream in zip(out, streams):
+            key[0] = stream.seed & _MASK64
+            key[1] = stream.index & _MASK64
+            bitgen.state = state
+            if stream.used:
+                rng.standard_normal(stream.used)
+            rng.standard_normal(out=row)
+            stream.used += row.size
     return out
 
 
@@ -220,14 +228,23 @@ def weyl_character_batch(
 
 def trace_powers_batch(mats: np.ndarray, pmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Traces of g^i for i = 1..pmax over a stack; returns (real traces of
-    shape (batch, pmax), worst imaginary residual per matrix)."""
+    shape (batch, pmax), worst imaginary residual per matrix).
+
+    Only g, g^2, ..., g^h with h = ceil(pmax/2) are formed by matrix
+    products.  A higher power k takes tr g^k = tr(g^h g^(k-h)), the sum of
+    (g^h)_ij (g^(k-h))_ji, which costs O(m^2) per matrix instead of a
+    product's O(m^3); the traces agree with repeated products to rounding.
+    """
     b = mats.shape[0]
     if pmax <= 0:
         return np.zeros((b, 0)), np.zeros(b)
-    out = np.empty((b, pmax), dtype=np.complex128)
-    power = mats
-    out[:, 0] = np.trace(power, axis1=1, axis2=2)
-    for i in range(1, pmax):
-        power = power @ mats
-        out[:, i] = np.trace(power, axis1=1, axis2=2)
+    h = (pmax + 1) // 2
+    powers = [mats]
+    for _ in range(1, h):
+        powers.append(powers[-1] @ mats)
+    out = np.empty((b, pmax), dtype=np.complex128)  # column k: tr g^(k+1)
+    for k, power in enumerate(powers):
+        out[:, k] = np.trace(power, axis1=1, axis2=2)
+    for k in range(h, pmax):
+        out[:, k] = np.einsum("bij,bji->b", powers[-1], powers[k - h])
     return out.real.copy(), np.max(np.abs(out.imag), axis=1)

@@ -92,11 +92,10 @@ class FourierData:
         return tuple(i for i, _ in self.terms)
 
 
-def ratio_character_sum(gamma: Partition, f: FourierData):
-    """Limiting twisted-to-plain ratio R as the character sum over partitions
-    of |gamma|: sum of chi_gamma(lam) * prod c_i^{mult}/mult!."""
+def _character_terms(gamma: Partition, f: FourierData):
+    """The terms chi_gamma(lam) * prod c_i^{mult}/mult! of the character
+    sum, one per partition lam of |gamma| supported by the coefficients."""
     c = f.coeffs
-    total = 0
     for lam in partitions_of(gamma.weight):
         term = 1
         for i, a in lam.multiplicities().items():
@@ -104,7 +103,15 @@ def ratio_character_sum(gamma: Partition, f: FourierData):
                 break
             term = term * c[i] ** a / math.factorial(a)
         else:
-            total += character_value(gamma, lam) * term
+            yield character_value(gamma, lam) * term
+
+
+def ratio_character_sum(gamma: Partition, f: FourierData):
+    """Limiting twisted-to-plain ratio R as the character sum over partitions
+    of |gamma|: sum of chi_gamma(lam) * prod c_i^{mult}/mult!."""
+    total = 0
+    for term in _character_terms(gamma, f):
+        total += term
     return total
 
 
@@ -113,14 +120,16 @@ def ratio_schur_specialization(gamma: Partition, f: FourierData):
     Jacobi-Trudi determinant det(h_{gamma_i - i + j}).  The complete
     symmetric functions come from Newton's identity k h_k = sum_r p_r h_{k-r};
     no symmetric group character is read."""
-    c = f.coeffs
+    return _determinant(_jacobi_trudi(gamma, f.coeffs))
+
+
+def _jacobi_trudi(gamma: Partition, c: dict) -> list[list]:
+    """The matrix (h_{gamma_i - i + j}) at p_i = i*c_i."""
     h = [Fraction(1)]  # exact on Fractions; a float coefficient turns it float
     for k in range(1, gamma.weight + 1):
         h.append(sum(r * c.get(r, 0) * h[k - r] for r in range(1, k + 1)) / k)
     size = gamma.length
-    return _determinant(
-        [[h[d] if d >= 0 else 0 for d in range(p - i, p - i + size)] for i, p in enumerate(gamma.parts)]
-    )
+    return [[h[d] if d >= 0 else 0 for d in range(p - i, p - i + size)] for i, p in enumerate(gamma.parts)]
 
 
 def _determinant(rows: list[list]):
@@ -143,11 +152,23 @@ def _determinant(rows: list[list]):
     return det
 
 
+#: float check of the two ratio forms: |sum - determinant| may be at most
+#: this times their rounding scale (see `SchurSpecialization`); the measured
+#: worst is 3.1e-16 on random symbols, sparse ones included, with
+#: 0.05 <= max |c_i| <= 10 and every |gamma| <= 7
+_RATIO_FORMS_GAP = 1e-13
+
+
 @dataclass(frozen=True)
 class SchurSpecialization:
     """The ratio R carried with its label, from the character sum; in
     verification mode the Jacobi-Trudi determinant, which reads no character
-    value, must agree: exactly on Fractions, to 1e-9 on floats."""
+    value, must agree: exactly on Fractions, and on floats to within
+    `_RATIO_FORMS_GAP` times a rounding scale.  That scale is the sum of the
+    character terms' sizes, which the sum's rounding follows, plus the
+    Hadamard bound (product of row lengths) of the Jacobi-Trudi matrix at
+    |c_i|, which the determinant's follows; a sparse symbol can make the
+    determinant's h_k cancel where the character sum has few terms."""
 
     gamma: Partition
     value: object
@@ -159,7 +180,16 @@ class SchurSpecialization:
         a = ratio_character_sum(gamma, f)
         if verify:
             b = ratio_schur_specialization(gamma, f)
-            match = (a == b) if f.exact else math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+            if f.exact:
+                match = a == b
+            elif not (math.isfinite(a) and math.isfinite(b)):
+                raise OverflowError(f"ratio forms for gamma={gamma} are not finite")
+            else:
+                rows = _jacobi_trudi(gamma, {i: abs(v) for i, v in f.terms})
+                scale = sum(abs(t) for t in _character_terms(gamma, f)) + math.prod(
+                    math.hypot(*row) for row in rows
+                )
+                match = abs(a - b) <= _RATIO_FORMS_GAP * scale
             if not match:
                 raise ConsistencyError(
                     f"ratio forms disagree for gamma={gamma}: "

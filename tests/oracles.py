@@ -5,7 +5,8 @@ come from a signed coefficient extraction instead of border strips,
 dimensions from hook lengths, decreasing-subsequence lengths from a
 quadratic scan, induction values from splitting cycle types, sampled
 matrices from the defining relations of their group, Sp(2n) draws by
-quaternionic Gram-Schmidt instead of QR, per-sample random
+quaternionic Gram-Schmidt instead of QR, power traces from repeated
+matrix products instead of split products, per-sample random
 streams from a Generator built afresh for each sample, and Haar averages
 from the Weyl integration formula on the maximal torus, with the even
 orthogonal mirror sum taken as an elementary symmetric function of the
@@ -209,6 +210,22 @@ def sp_gram_schmidt(n: int, streams) -> np.ndarray:
         g[:, :, k] = col
         g[:, :, n + k] = partner(col)
     return g
+
+
+def trace_powers_repeated(mats: np.ndarray, pmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Traces of g^i for i = 1..pmax by pmax - 1 repeated matrix products;
+    returns (real traces of shape (batch, pmax), worst imaginary residual
+    per matrix), the outputs of `sampling.trace_powers_batch`."""
+    b = mats.shape[0]
+    if pmax <= 0:
+        return np.zeros((b, 0)), np.zeros(b)
+    out = np.empty((b, pmax), dtype=np.complex128)
+    power = mats
+    out[:, 0] = np.trace(power, axis1=1, axis2=2)
+    for i in range(1, pmax):
+        power = power @ mats
+        out[:, i] = np.trace(power, axis1=1, axis2=2)
+    return out.real.copy(), np.max(np.abs(out.imag), axis=1)
 
 
 def torus_average(

@@ -265,14 +265,17 @@ def test_exit_code_2_on_bad_input(capsys):
         ["ratio", "--gamma", "3", "--coeffs", "c1=1e200"],
         ["mc-verify", "--group", "sp", "--n", "1", "--coeffs", "c1=1000", "--samples", "100"],
         ["mc-verify", "--group", "sp", "--n", "1", "--coeffs", "c1=200", "--samples", "100"],
+        ["ratio", "--gamma", "3", "--coeffs", "c1=1e100,c2=1e250", "--verify"],
+        ["ratio", "--gamma", "2,1", "--coeffs", "c1=1e100,c2=1e250", "--verify"],
     ],
-    ids=["asymptotics", "ratio", "mc-verify", "mc-verify-stderr"],
+    ids=["asymptotics", "ratio", "mc-verify", "mc-verify-stderr", "ratio-verify-inf", "ratio-verify-nan"],
 )
 @pytest.mark.parametrize("pretty", [False, True], ids=["json", "pretty"])
 def test_overflow_exits_2_with_empty_stdout(argv, pretty, capsys):
     # an overflowed or non-finite float is refused before anything is written;
     # mc-verify refuses before sampling, since at c1=1000 exp overflows and at
-    # c1=200 the stderr's squares would
+    # c1=200 the stderr's squares would; ratio --verify compares no
+    # non-finite forms, where c2*c1 overflows without raising
     code, out, err = run_cli(argv + ["--pretty"] * pretty, capsys)
     assert code == 2
     assert out == ""

@@ -6,7 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import RESIDUAL_LIMITS, matrix_residuals, reference_generator, sp_gram_schmidt
+from oracles import (
+    RESIDUAL_LIMITS,
+    matrix_residuals,
+    reference_generator,
+    sp_gram_schmidt,
+    trace_powers_repeated,
+)
 
 from liemoments.config import DEFAULT_TOLERANCES
 from liemoments.groups import Family, GroupSpec
@@ -195,18 +201,24 @@ def test_first_trace_moments(G):
     assert abs(sq.mean() - 1.0) < 4 * stderr2
 
 
+#: largest gap allowed between split and repeated-product traces; the
+#: measured worst over 2,000 draws per group and pmax <= 7 is 3.6e-15
+TRACE_SPLIT_GAP = 1e-13
+
+
 def test_trace_powers_batch_against_plain_trace():
-    G = GroupSpec.so_odd(2)
-    rngs = [rng_for_sample(4, i) for i in range(6)]
-    mats = sample_matrices(G, rngs)
-    traces, _ = trace_powers_batch(mats, 3)
-    for i in range(6):
-        g = mats[i]
-        assert traces[i, 0] == pytest.approx(np.trace(g).real)
-        assert traces[i, 1] == pytest.approx(np.trace(g @ g).real)
-        assert traces[i, 2] == pytest.approx(np.trace(g @ g @ g).real)
-    empty, res = trace_powers_batch(mats, 0)
-    assert empty.shape == (6, 0) and np.all(res == 0)
+    """Split products give the traces and imaginary residuals of repeated
+    products to rounding, for odd and even pmax."""
+    for G in (GroupSpec.sp(4), GroupSpec.so_even(4), GroupSpec.so_odd(4), GroupSpec.sp(10)):
+        mats = _draws(G, 4, 300)
+        for pmax in range(8):
+            traces, imag = trace_powers_batch(mats, pmax)
+            ref, ref_imag = trace_powers_repeated(mats, pmax)
+            assert traces.shape == ref.shape == (300, pmax)
+            assert np.max(np.abs(traces - ref), initial=0) <= TRACE_SPLIT_GAP, (G, pmax)
+            assert np.max(np.abs(imag - ref_imag)) <= TRACE_SPLIT_GAP, (G, pmax)
+        empty, res = trace_powers_batch(mats, 0)
+        assert empty.shape == (300, 0) and np.all(res == 0)
 
 
 def test_so2_half_spectrum_is_rotation_angle():

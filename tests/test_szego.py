@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from liemoments import szego
+from liemoments.errors import ConsistencyError
 from liemoments.groups import Family, GroupSpec
 from liemoments.lr import branching_decomposition, schur_product
 from liemoments.partitions import Partition, partitions_of
@@ -129,6 +131,33 @@ def test_ratio_forms_agree_random_rationals():
             gamma = rng.choice(partitions_of(k))
             spec = SchurSpecialization.compute(gamma, f, verify=True)
             assert spec.gamma == gamma
+
+
+def test_ratio_forms_agree_random_floats():
+    """Float symbols, sparse ones included, where the determinant's h_k can
+    cancel while the character sum has few terms, pass the verified check
+    at every label of weight <= 7."""
+    rng = random.Random(11)
+    for _ in range(60):
+        density = rng.choice([0.3, 0.7, 1.0])
+        f = FourierData({i: rng.uniform(-3, 3) for i in range(1, 8) if rng.random() < density})
+        for k in range(8):
+            for gamma in partitions_of(k):
+                SchurSpecialization.compute(gamma, f, verify=True)
+
+
+@pytest.mark.parametrize("gamma", ["1", "2", "3", "2,1", "1,1,1"])
+def test_float_ratio_check_catches_small_relative_error(gamma, monkeypatch):
+    """A determinant off by 1e-11 relative, far above the two forms'
+    rounding, fails the float check; without verify it is not read."""
+    f = FourierData({1: 0.3, 2: 0.1, 3: 0.05})
+    exact = szego.ratio_schur_specialization
+    monkeypatch.setattr(
+        szego, "ratio_schur_specialization", lambda g, data: exact(g, data) * (1 + 1e-11)
+    )
+    with pytest.raises(ConsistencyError):
+        SchurSpecialization.compute(P(gamma), f, verify=True)
+    assert SchurSpecialization.compute(P(gamma), f).value == ratio_character_sum(P(gamma), f)
 
 
 def test_ratio_multiplicative_under_lr():
