@@ -106,12 +106,9 @@ def _parse_rank(text: str) -> int | None:
     if text.strip().lower() == "stable":
         return None
     try:
-        n = int(text)
+        return int(text)
     except ValueError:
         raise CLIError(f"rank must be a positive integer or 'stable', got {text!r}")
-    if n < 1:
-        raise CLIError(f"rank must be at least 1, got {n}")
-    return n
 
 
 def _parse_group(group_text: str, rank_text: str) -> GroupSpec:
@@ -220,8 +217,6 @@ def cmd_branch(args) -> dict:
 
 def cmd_char_table(args) -> dict:
     k = args.k
-    if k < 0:
-        raise CLIError(f"k must be non-negative, got {k}")
     table = character_table(k, cache_dir=args.cache_dir)
     query = {"command": "char-table", "k": k}
     payload = {
@@ -264,8 +259,6 @@ def cmd_g(args) -> dict:
             bound = int(method.split(":", 1)[1])
         except ValueError:
             raise CLIError(f"rains bound must be an integer, got {args.method!r}")
-        if bound < 1:
-            raise CLIError(f"rains bound must be at least 1, got {bound}")
         if lam and lam.parts[0] != 1:
             raise CLIError(
                 "the rains method counts fixed-point-free involutions and only "

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .characters import character_value
 from .errors import ConsistencyError, StableRangeError
-from .groups import Family, GroupSpec, mirror_factor
+from .groups import Family, GroupSpec, check_label, mirror_factor
 from .lr import paired_partitions, schur_product
 from .matchings import fpf_involutions_lds, g_closed
 from .partitions import Partition, sgn, sub_splittings
@@ -106,8 +106,11 @@ def expect_twisted(
     label that is the mirror sum, which det maps to itself, so the SO(2n)
     average E_O[chi p] + E_O[det chi p] is twice the routes' value
     (`mirror_factor`); for other labels the det twin has length
-    2n - l(gamma) > n and averages to zero in the stable range.
+    2n - l(gamma) > n and averages to zero in the stable range.  At finite
+    rank a label longer than the rank is refused (`check_label`).
     """
+    if not G.is_stable:
+        check_label(gamma, G.rank)
     b = expect_twisted_route_b(G, gamma, lam)
     if verify:
         a = expect_twisted_route_a(G, gamma, lam)

@@ -114,13 +114,19 @@ def weyl_exponents(
     is mirror * det trig(theta_i a_j) / det trig(theta_i b_j), with cos for
     SO(2n) and sin otherwise.
     """
-    if gamma.length > n:
-        raise ValueError(f"label {gamma} is longer than the rank {n}")
+    check_label(gamma, n)
     shift = {Family.SP: 0, Family.SO_ODD: Fraction(1, 2), Family.SO_EVEN: 1}[family]
     parts = list(gamma.parts) + [0] * (n - gamma.length)
     b = tuple(Fraction(n - j) - shift for j in range(n))
     a = tuple(p + bj for p, bj in zip(parts, b))
     return a, b, mirror_factor(family, n, gamma)
+
+
+def check_label(gamma: Partition, n: int) -> None:
+    """Refuse a label longer than the rank n: the group of rank n has no
+    irreducible with more than n rows.  The stable group takes any label."""
+    if gamma.length > n:
+        raise ValueError(f"label {gamma} is longer than the rank {n}")
 
 
 def mirror_factor(family: Family, n: int | None, gamma: Partition) -> int:

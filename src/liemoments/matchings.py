@@ -106,14 +106,10 @@ def g_bruteforce(lam: Partition) -> int:
         return 0
     if k == 0:
         return 1
-    if k > BRUTE_FORCE_BOUND:
-        raise ResourceBoundError(
-            f"brute force over matchings of {k} points exceeds bound {BRUTE_FORCE_BOUND}"
-        )
     import numpy as np
 
+    p = matchings_array(k)  # refuses k beyond the bound before sigma is built
     sigma = canonical_permutation(lam)
-    p = matchings_array(k)
     preserved = np.all(p[:, sigma] == sigma[p], axis=1)
     return int(np.count_nonzero(preserved))
 

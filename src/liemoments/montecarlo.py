@@ -96,9 +96,6 @@ class _Product:
         support = self.f.support if self.f is not None else ()
         return max((*self.lam.parts, *support), default=0)
 
-    def characters(self) -> tuple[Partition, ...]:
-        return tuple(dict.fromkeys(self.char_labels))
-
     def evaluate(self, rank: int, traces: np.ndarray, chars: dict) -> np.ndarray:
         """Per-sample values from the (batch, max power) real power traces
         and the character values by label."""
@@ -152,17 +149,12 @@ class CharacterProductObservable(_Product):
 
 def _chunk_block(G, observables, seed, i0, i1, pmax, labels):
     tolerances = config.DEFAULT_TOLERANCES
-    batch = i1 - i0
     rngs = [rng_for_sample(seed, i) for i in range(i0, i1)]
     mats = sample_matrices(G, rngs)
-    ever_degenerate = np.zeros(batch, dtype=bool)
+    ever_degenerate = np.zeros(i1 - i0, dtype=bool)
     for _ in range(MAX_RESAMPLE_ROUNDS + 1):
-        if pmax:
-            traces, imag = trace_powers_batch(mats, pmax)
-            bad = imag > tolerances.trace_imag
-        else:
-            traces = np.zeros((batch, 0))
-            bad = np.zeros(batch, dtype=bool)
+        traces, imag = trace_powers_batch(mats, pmax)
+        bad = imag > tolerances.trace_imag
         chars: dict[Partition, np.ndarray] = {}
         if labels:
             angles, residual = half_spectrum_batch(mats, G.family)
@@ -222,14 +214,9 @@ def sample_values(
         raise ValueError(f"threads must be at least 1, got {threads}")
     if G.is_stable:
         raise ValueError("cannot sample the stable group; pick a finite rank")
-    n = G.rank
-    labels: list[Partition] = []
+    # each label's length is checked by `_check_range` through weyl_dimension
+    labels = list(dict.fromkeys(lab for obs in observables for lab in obs.char_labels))
     for obs in observables:
-        for lab in obs.characters():
-            if lab.length > n:
-                raise ValueError(f"character label {lab} is longer than the rank {n}")
-            if lab not in labels:
-                labels.append(lab)
         _check_range(G, obs, samples)
     pmax = max((obs.max_power() for obs in observables), default=0)
 

@@ -8,7 +8,7 @@ observables.  Everything here is exact integer arithmetic.
 
 from __future__ import annotations
 
-from math import comb, factorial, prod
+from math import comb
 from typing import Iterable, Iterator
 
 from .errors import ResourceBoundError
@@ -116,12 +116,6 @@ class Partition:
         if not self._parts:
             return "0"
         return ",".join(str(p) for p in self._parts)
-
-
-def z(lam: Partition) -> int:
-    """Order of the centralizer in the symmetric group of a permutation of
-    cycle type lam: the product over parts i of i**mult(i) * mult(i)!."""
-    return prod(i**m * factorial(m) for i, m in lam.multiplicities().items())
 
 
 def sgn(lam: Partition) -> int:

@@ -23,11 +23,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, ResourceBoundError
 from .expectations import expect_twisted
 from .groups import Family, GroupSpec, weyl_exponents
 from .characters import character_value
-from .partitions import Partition, partitions_of
+from .partitions import ENUMERATION_BOUND, Partition
 
 
 #: a literal that keeps the coefficients exact: an integer or a/b fraction
@@ -92,18 +92,38 @@ class FourierData:
         return tuple(i for i, _ in self.terms)
 
 
-def _character_terms(gamma: Partition, f: FourierData):
-    """The terms chi_gamma(lam) * prod c_i^{mult}/mult! of the character
-    sum, one per partition lam of |gamma| supported by the coefficients."""
+def _phi_coefficients(f: FourierData, w: int):
+    """(lam, prod c_i^{mult}/mult!) for each partition lam of w whose parts
+    all lie in the support, in `partitions_of` order (largest parts first):
+    the coefficient of p_lam in Phi = exp(sum c_i p_i)."""
     c = f.coeffs
-    for lam in partitions_of(gamma.weight):
+
+    def parts(total: int, allowed: tuple[int, ...]):
+        if total == 0:
+            yield ()
+        for pos, i in enumerate(allowed):
+            if i <= total:
+                for rest in parts(total - i, allowed[pos:]):
+                    yield (i, *rest)
+
+    for lam in map(Partition, parts(w, f.support[::-1])):
         term = 1
         for i, a in lam.multiplicities().items():
-            if i not in c:
-                break
             term = term * c[i] ** a / math.factorial(a)
-        else:
-            yield character_value(gamma, lam) * term
+        yield lam, term
+
+
+def _character_terms(gamma: Partition, f: FourierData):
+    """The terms chi_gamma(lam) * prod c_i^{mult}/mult! of the character
+    sum, one per partition lam of |gamma| supported by the coefficients.
+    The sum runs over classes of S_|gamma|, so it keeps the symmetric-group
+    enumeration bound."""
+    if gamma.weight > ENUMERATION_BOUND:
+        raise ResourceBoundError(
+            f"refusing to enumerate partitions of {gamma.weight} (bound {ENUMERATION_BOUND})"
+        )
+    for lam, coef in _phi_coefficients(f, gamma.weight):
+        yield character_value(gamma, lam) * coef
 
 
 def ratio_character_sum(gamma: Partition, f: FourierData):
@@ -216,25 +236,6 @@ def twisted_asymptotic(family: Family, gamma: Partition, f: FourierData) -> floa
     return float(ratio_character_sum(gamma, f)) * johansson_limit(family, f)
 
 
-def _supported_partitions(support: tuple[int, ...], cutoff: int):
-    """Multiplicity vectors over the support with weight at most cutoff,
-    yielded as lists of (index, multiplicity) with positive multiplicities."""
-
-    def rec(pos: int, budget: int, acc: list[tuple[int, int]]):
-        if pos == len(support):
-            yield list(acc)
-            return
-        i = support[pos]
-        for a in range(budget // i + 1):
-            if a:
-                acc.append((i, a))
-            yield from rec(pos + 1, budget - i * a, acc)
-            if a:
-                acc.pop()
-
-    yield from rec(0, cutoff, [])
-
-
 def expect_phi_series(
     G: GroupSpec, gamma: Partition, f: FourierData, weight_cutoff: int
 ) -> tuple[object, float]:
@@ -246,8 +247,8 @@ def expect_phi_series(
     term satisfies the stable-range hypothesis because W <= n is enforced.
     The tail bound uses |tr g^i| <= m (matrix size) and |chi_gamma| <= its
     dimension, so it is conservative but honest:
-    dim * e^{n c0} * (exp(m * sum|c_i|) - sum of retained |coefficient|
-    weights with c_i replaced by m*|c_i|).
+    dim * e^{n c0} * (exp(m * sum|c_i|) - sum of retained m^{l(lam)} *
+    |coefficient|, which is the coefficient with c_i replaced by m*|c_i|).
 
     With exact coefficients and c0 = 0 the value is an exact rational;
     otherwise a float.
@@ -264,19 +265,12 @@ def expect_phi_series(
         raise ValueError(f"weight cutoff must be non-negative, got {weight_cutoff}")
 
     exact_out = f.exact and f.c0 == 0
-    c = f.coeffs
     total = 0
     m = G.matrix_size
     retained_weight = 0.0  # sum of |series coefficients| at the tail's scale
-    for spec in _supported_partitions(f.support, weight_cutoff):
-        lam = Partition(i for i, a in spec for _ in range(a))
-        coeff = 1
-        tail_term = 1.0
-        for i, a in spec:
-            fact = math.factorial(a)
-            coeff = coeff * c[i] ** a / fact
-            tail_term *= (m * abs(float(c[i]))) ** a / fact
-        retained_weight += tail_term
+    terms = (t for w in range(weight_cutoff + 1) for t in _phi_coefficients(f, w))
+    for lam, coeff in terms:
+        retained_weight += m**lam.length * abs(float(coeff))
         value = expect_twisted(G, gamma, lam)
         if value:
             term = coeff * value
@@ -286,7 +280,7 @@ def expect_phi_series(
     if not exact_out:
         total = float(total) * prefactor
     dim = weyl_dimension(G.family, n, gamma)
-    full_weight = math.exp(m * sum(abs(float(v)) for v in c.values()))
+    full_weight = math.exp(m * sum(abs(float(v)) for _, v in f.terms))
     tail_bound = dim * prefactor * max(0.0, full_weight - retained_weight)
     return total, tail_bound
 

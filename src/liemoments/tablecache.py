@@ -14,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 from .characters import CharacterTable
-from .partitions import Partition
+from .partitions import Partition, partitions_of
 
 FORMAT_VERSION = 1
 
@@ -36,11 +36,9 @@ def load_table(k: int, cache_dir: str | os.PathLike) -> CharacterTable | None:
         labels = [Partition.parse(s) for s in doc["labels"]]
         classes = [Partition.parse(s) for s in doc["classes"]]
         values = [[int(v) for v in row] for row in doc["values"]]
-        if classes != labels or len(values) != len(labels):
+        if classes != labels or labels != partitions_of(k) or len(values) != len(labels):
             return None
         if any(len(row) != len(labels) for row in values):
-            return None
-        if any(lab.weight != k for lab in labels):
             return None
     except (KeyError, TypeError, ValueError):
         return None

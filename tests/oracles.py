@@ -90,6 +90,13 @@ def hook_dimension(lam: tuple[int, ...]) -> int:
     return math.factorial(k) // hooks
 
 
+def z(lam) -> int:
+    """Order of the centralizer in the symmetric group of a permutation of
+    cycle type lam (a Partition): the product over parts i of
+    i**mult(i) * mult(i)!."""
+    return math.prod(i**m * math.factorial(m) for i, m in lam.multiplicities().items())
+
+
 def is_horizontal_strip(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
     """lam/mu is a horizontal strip: containment with interleaving rows."""
     padded_mu = tuple(mu) + (0,) * (len(lam) - len(mu))

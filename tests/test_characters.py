@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from liemoments.characters import character_table, character_value
-from liemoments.partitions import Partition, partitions_of, z
+from liemoments.partitions import Partition, partitions_of
 
-from oracles import frobenius_character, hook_dimension
+from oracles import frobenius_character, hook_dimension, z
 
 P = Partition.parse
 

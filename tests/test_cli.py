@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import liemoments
-from liemoments import characters
+from liemoments import characters, matchings
 from liemoments.cli import main
 from liemoments.errors import ConsistencyError
 from liemoments.groups import Family
@@ -57,6 +57,54 @@ def test_console_script_matches_in_process(capsys):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == inproc
+
+
+# Every exact command, with one refusal (exit 2), one query below the stable
+# range (exit 3) and two char-table runs that read the cache directory from
+# the environment.
+_EXACT_ARGVS = [
+    ["expect-trace", "--group", "sp", "--lambda", "2,1,1"],
+    ["expect-trace", "--group", "sp", "--rank", "1", "--lambda", "1,1,1,1"],
+    ["expect-trace", "--group", "sp", "--rank", "1", "--lambda", "2,2"],
+    ["expect-twisted", "--group", "so-odd", "--rank", "3", "--gamma", "1", "--lambda", "2,1", "--verify"],
+    ["expect-twisted", "--group", "sp", "--rank", "2", "--gamma", "1,1,1", "--lambda", "1,1"],
+    ["ratio", "--gamma", "2,1", "--coeffs", "c1=1/2,c2=1/3", "--verify"],
+    ["ratio", "--gamma", "2", "--coeffs", "c1=0.3,c2=-0.1"],
+    ["asymptotics", "--family", "so-even", "--gamma", "1", "--coeffs", "c1=0.3"],
+    ["branch", "--family", "so", "--lambda", "2,2"],
+    ["char-table", "--k", "5"],
+    ["char-table", "--k", "4", "--pretty"],
+    ["lr", "--lambda", "2,1", "--mu", "1", "--nu", "2"],
+    ["g", "--lambda", "2,2", "--method", "closed"],
+    ["g", "--lambda", "2,2,1,1", "--method", "brute"],
+    ["g", "--lambda", "1,1,1,1", "--method", "rains:2"],
+    ["selftest", "--pretty"],
+]
+
+
+def test_repeated_in_process_runs_match_fresh_interpreters(tmp_path, capsys, monkeypatch):
+    """main() called again and again in one process prints what a fresh
+    interpreter prints for each command.  The second pass changes the cache
+    directory in the environment, and char-table must write to the new one."""
+    src = os.path.dirname(os.path.dirname(liemoments.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "LIEMOMENTS_CACHE_DIR": str(tmp_path / "fresh")}
+    fresh = []
+    for argv in _EXACT_ARGVS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "liemoments.cli", *argv], capture_output=True, text=True, env=env
+        )
+        fresh.append((proc.returncode, proc.stdout))
+    assert [code for code, _ in fresh].count(0) == len(_EXACT_ARGVS) - 2
+
+    for run in range(2):
+        cache = tmp_path / f"run{run}"
+        monkeypatch.setenv("LIEMOMENTS_CACHE_DIR", str(cache))
+        characters._TABLE_MEMO.clear()
+        for argv, want in zip(_EXACT_ARGVS, fresh):
+            code, out, _ = run_cli(argv, capsys)
+            assert (code, out) == want, argv
+        assert table_path(5, cache).exists() and table_path(4, cache).exists()
+    characters._TABLE_MEMO.clear()
 
 
 def test_expect_trace_stable(capsys):
@@ -238,6 +286,17 @@ def test_mc_verify_phi_has_no_reference(capsys):
     assert doc["metadata"]["stable_range"] is False
 
 
+def test_huge_brute_force_weight_exits_2_at_once(monkeypatch, capsys):
+    # refused before the 4e8-point permutation is built
+    def no_permutation(lam):
+        raise AssertionError("built a permutation for a refused weight")
+
+    monkeypatch.setattr(matchings, "canonical_permutation", no_permutation)
+    code, out, err = run_cli(["g", "--lambda", "400000000", "--method", "brute"], capsys)
+    assert code == 2 and out == ""
+    assert "brute-force bound" in err
+
+
 def test_exit_code_2_on_bad_input(capsys):
     cases = [
         ["expect-trace", "--group", "su", "--lambda", "2"],
@@ -250,6 +309,10 @@ def test_exit_code_2_on_bad_input(capsys):
         ["mc-verify", "--group", "sp", "--n", "1", "--lambda", "1", "--threads", "0"],
         ["mc-verify", "--group", "sp", "--n", "1", "--lambda", "1", "--threads", "-3"],
         ["mc-verify", "--group", "sp", "--n", "2", "--lambda", "1", "--coeffs", "c1=0.1"],
+        ["char-table", "--k", "-1"],
+        ["g", "--lambda", "1,1", "--method", "rains:0"],
+        # Sp(4) has no irreducible labeled by three rows
+        ["expect-twisted", "--group", "sp", "--rank", "2", "--gamma", "1,1,1", "--lambda", "1,1"],
     ]
     for argv in cases:
         code, out, err = run_cli(argv, capsys)
@@ -425,6 +488,16 @@ def test_cache_created_and_corruption_survived(tmp_path, capsys):
     assert second == first
     assert json.loads(path.read_text())["k"] == 4
     characters._TABLE_MEMO.clear()
+
+
+def test_cache_file_for_negative_k_is_not_served(tmp_path, capsys):
+    # a well-formed file can claim any k; only the labels of S_k are trusted
+    doc = {"format": 1, "k": -1, "labels": [], "classes": [], "values": []}
+    table_path(-1, tmp_path).write_text(json.dumps(doc))
+    code, out, err = run_cli(["char-table", "--k", "-1", "--cache-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 @pytest.mark.parametrize(

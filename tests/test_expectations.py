@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from liemoments import expectations
 from liemoments.errors import StableRangeError
 from liemoments.expectations import (
     expect_trace_product,
@@ -155,6 +156,22 @@ def test_routes_agree(family):
 def test_twisted_below_stable_range_refused():
     with pytest.raises(StableRangeError):
         expect_twisted(GroupSpec.sp(1), P("1"), P("2,1"))
+
+
+def test_label_longer_than_rank_refused(monkeypatch):
+    # the stable group takes any label; Sp(4) has no irreducible with three
+    # rows, and the label is refused before either route runs
+    assert expect_twisted(SP, P("1,1,1"), P("1,1")) == 0
+    assert expect_twisted(SP, P("1,1,1"), P("1,1,1")) == 1
+
+    def no_route(*args):
+        raise AssertionError("averaged over an invalid label")
+
+    monkeypatch.setattr(expectations, "expect_twisted_route_b", no_route)
+    monkeypatch.setattr(expectations, "expect_twisted_route_a", no_route)
+    for verify in (False, True):
+        with pytest.raises(ValueError, match="longer than the rank"):
+            expect_twisted(GroupSpec.sp(2), P("1,1,1"), P("1,1"), verify=verify)
 
 
 def test_verify_mode_returns_value():

@@ -12,9 +12,9 @@ from liemoments.lr import (
     paired_partitions,
     schur_product,
 )
-from liemoments.partitions import Partition, partitions_of, sub_splittings, z
+from liemoments.partitions import Partition, partitions_of, sub_splittings
 
-from oracles import is_horizontal_strip
+from oracles import is_horizontal_strip, z
 
 P = Partition.parse
 

@@ -148,9 +148,9 @@ def test_character_orthonormality():
 
 def test_observable_labels():
     assert TraceProductObservable(P("2,1")).label == "trace-product[2,1]"
-    assert TwistedObservable(P("1"), P("2")).characters() == (P("1"),)
-    assert CharacterProductObservable(P("1"), P("1")).characters() == (P("1"),)
-    assert CharacterProductObservable(P("1"), P("2")).characters() == (P("1"), P("2"))
+    assert TwistedObservable(P("1"), P("2")).char_labels == (P("1"),)
+    assert CharacterProductObservable(P("1"), P("1")).char_labels == (P("1"), P("1"))
+    assert CharacterProductObservable(P("1"), P("2")).char_labels == (P("1"), P("2"))
     assert PhiObservable(FourierData({3: 0.1})).max_power() == 3
     assert PhiObservable(FourierData({})).max_power() == 0
 
@@ -221,9 +221,18 @@ def test_stable_group_rejected():
         estimate(GroupSpec.sp(None), TraceProductObservable(P("1")), 500, seed=0)
 
 
-def test_label_longer_than_rank():
-    with pytest.raises(ValueError):
+def test_label_longer_than_rank(monkeypatch):
+    # refused before the first draw, also when only a later observable's
+    # second character has the long label
+    def no_draw(*args):
+        raise AssertionError("drew matrices for an invalid label")
+
+    monkeypatch.setattr(montecarlo, "sample_matrices", no_draw)
+    with pytest.raises(ValueError, match="longer than the rank"):
         estimate(GroupSpec.sp(2), TwistedObservable(P("1,1,1"), P("1")), 500, seed=0)
+    observables = [TraceProductObservable(P("1")), CharacterProductObservable(P("1"), P("1,1,1"))]
+    with pytest.raises(ValueError, match="longer than the rank"):
+        estimate_many(GroupSpec.sp(2), observables, 500, seed=0)
 
 
 def test_impossible_tolerance_aborts(monkeypatch):
@@ -285,7 +294,7 @@ def test_forced_redraws_are_pinned(G, obs, tolerance, block_sum, monkeypatch):
         monkeypatch.setattr(config, "DEFAULT_TOLERANCES", tol)
 
     use(forcing)
-    labels = list(obs.characters())
+    labels = list(dict.fromkeys(obs.char_labels))
     block, redrawn = _chunk_block(G, [obs], 5, 100, 1100, obs.max_power(), labels)
     assert redrawn > 0
     assert float(block.sum()).hex() == block_sum

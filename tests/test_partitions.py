@@ -11,8 +11,9 @@ from liemoments.partitions import (
     partitions_of,
     sgn,
     sub_splittings,
-    z,
 )
+
+from oracles import z
 
 P = Partition.parse
 

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from liemoments import szego
-from liemoments.errors import ConsistencyError
+from liemoments import expectations, szego
+from liemoments.errors import ConsistencyError, ResourceBoundError
 from liemoments.groups import Family, GroupSpec
 from liemoments.lr import branching_decomposition, schur_product
 from liemoments.partitions import Partition, partitions_of
@@ -240,7 +240,7 @@ def test_phi_series_trivial_cases():
     assert value == pytest.approx(math.exp(4 * 1.5))
 
 
-def test_phi_series_domain_errors():
+def test_phi_series_domain_errors(monkeypatch):
     G = GroupSpec.sp(3)
     f = FourierData({1: Fraction(1, 2)})
     with pytest.raises(ValueError):
@@ -249,6 +249,43 @@ def test_phi_series_domain_errors():
         expect_phi_series(G, P(""), f, -1)
     with pytest.raises(ValueError):
         expect_phi_series(GroupSpec.stable(Family.SP), P(""), f, 2)
+
+    # a label longer than the rank is refused before any term is averaged
+    def no_route(*args):
+        raise AssertionError("averaged a term for an invalid label")
+
+    monkeypatch.setattr(expectations, "expect_twisted_route_b", no_route)
+    with pytest.raises(ValueError, match="longer than the rank"):
+        expect_phi_series(GroupSpec.sp(2), P("1,1,1"), f, 2)
+
+
+def test_phi_coefficients_list_supported_partitions_in_canonical_order():
+    # the same partitions, in the same order, as filtering partitions_of
+    for support in ((1,), (2,), (1, 2, 4), (3, 5), (2, 7), (1, 2, 3, 4, 5, 6)):
+        f = FourierData({i: Fraction(1, i + 1) for i in support})
+        for w in range(13):
+            want = [lam for lam in partitions_of(w) if set(lam.parts) <= set(support)]
+            assert [lam for lam, _ in szego._phi_coefficients(f, w)] == want
+
+
+def test_phi_series_sparse_support_beyond_enumeration_bound():
+    # only partitions into the support are listed, so a cutoff above the
+    # bound on partitions of one weight is served; values from before the
+    # coefficient generator was shared
+    value, tail = expect_phi_series(GroupSpec.sp(36), P(""), FourierData({5: Fraction(1, 2)}), 35)
+    assert value == Fraction(5717, 3072)
+    assert tail == pytest.approx(float.fromhex("0x1.ea2159f89842ep+51"), rel=1e-12)
+    f = FourierData({7: Fraction(-1, 3), 10: Fraction(1, 4)})
+    value, tail = expect_phi_series(GroupSpec.sp(40), P("1"), f, 40)
+    assert value == 0
+    assert tail == pytest.approx(float.fromhex("0x1.9110f42a36bb8p+73"), rel=1e-12)
+
+
+def test_ratio_keeps_the_enumeration_bound():
+    # the character sum runs over the classes of S_|gamma|
+    f = FourierData({1: Fraction(1, 2)})
+    with pytest.raises(ResourceBoundError):
+        ratio_character_sum(P("31"), f)
 
 
 def test_phi_series_tail_honest_against_limit():
@@ -260,6 +297,108 @@ def test_phi_series_tail_honest_against_limit():
     # the truncation itself converges to the limit quickly here
     value, _ = expect_phi_series(GroupSpec.sp(10), P(""), f, 10)
     assert abs(float(value) - limit) < 1e-6
+
+
+# expect_phi_series at rank 4 with c1 = 1/3, c2 = -1/5, c4 = 1/7 (no c3, so
+# the support has a gap): (exact value, tail bound) for cutoffs 0..4, per
+# family and label.  Each tail bound moves by far more than 1e-12 if the
+# retained weight m^l(lam) |coefficient| takes the exponent l(lam) +- 1.
+_PHI_PINS = {
+    ("sp", ""): [
+        ("1", 222.52512179934843),
+        ("1", 219.85845513268177),
+        ("113/90", 214.7028995771262),
+        ("113/90", 207.27573908329904),
+        ("134419/113400", 197.05699716677935),
+    ],
+    ("sp", "1"): [
+        ("0", 1780.2009743947874),
+        ("1/3", 1758.8676410614542),
+        ("1/3", 1717.6231966170096),
+        ("113/270", 1658.2059126663924),
+        ("113/270", 1576.4559773342348),
+    ],
+    ("sp", "2"): [
+        ("0", 8010.904384776543),
+        ("0", 7914.904384776543),
+        ("-13/90", 7729.304384776543),
+        ("-13/90", 7461.926606998765),
+        ("-1469/8100", 7094.051898004057),
+    ],
+    ("sp", "1,1"): [
+        ("0", 6008.178288582408),
+        ("0", 5936.178288582408),
+        ("23/90", 5796.978288582408),
+        ("23/90", 5596.444955249074),
+        ("2599/8100", 5320.5389235030425),
+    ],
+    ("so-even", ""): [
+        ("1", 222.52512179934843),
+        ("1", 219.85845513268177),
+        ("77/90", 214.7028995771262),
+        ("77/90", 207.27573908329904),
+        ("118939/113400", 197.05699716677935),
+    ],
+    ("so-even", "1"): [
+        ("0", 1780.2009743947874),
+        ("1/3", 1758.8676410614542),
+        ("1/3", 1717.6231966170096),
+        ("77/270", 1658.2059126663924),
+        ("77/270", 1576.4559773342348),
+    ],
+    ("so-even", "2"): [
+        ("0", 7788.379262977195),
+        ("0", 7695.045929643862),
+        ("-13/90", 7514.601485199417),
+        ("-13/90", 7254.650867915467),
+        ("-1001/8100", 6896.994900837278),
+    ],
+    ("so-even", "1,1"): [
+        ("0", 6230.703410381756),
+        ("0", 6156.03674371509),
+        ("23/90", 6011.681188159534),
+        ("23/90", 5803.720694332374),
+        ("1771/8100", 5517.595920669822),
+    ],
+    ("so-odd", ""): [
+        ("1", 438.53365318326144),
+        ("1", 435.53365318326144),
+        ("77/90", 429.2336531832614),
+        ("77/90", 419.33365318326145),
+        ("118939/113400", 404.95293889754714),
+    ],
+    ("so-odd", "1"): [
+        ("0", 3946.802878649353),
+        ("1/3", 3919.802878649353),
+        ("1/3", 3863.102878649353),
+        ("77/270", 3774.002878649353),
+        ("77/270", 3644.576450077924),
+    ],
+    ("so-odd", "2"): [
+        ("0", 19295.480740063504),
+        ("0", 19163.480740063504),
+        ("-13/90", 18886.280740063503),
+        ("-13/90", 18450.680740063504),
+        ("-1001/8100", 17817.929311492073),
+    ],
+    ("so-odd", "1,1"): [
+        ("0", 15787.211514597411),
+        ("0", 15679.211514597411),
+        ("23/90", 15452.411514597412),
+        ("23/90", 15096.011514597412),
+        ("1771/8100", 14578.305800311697),
+    ],
+}
+
+
+@pytest.mark.parametrize("family, gamma", list(_PHI_PINS))
+def test_phi_series_pinned(family, gamma):
+    G = GroupSpec(Family.parse(family), 4)
+    f = FourierData({1: Fraction(1, 3), 2: Fraction(-1, 5), 4: Fraction(1, 7)})
+    for cutoff, (value, tail) in enumerate(_PHI_PINS[family, gamma]):
+        got, got_tail = expect_phi_series(G, P(gamma), f, cutoff)
+        assert isinstance(got, (int, Fraction)) and got == Fraction(value), cutoff
+        assert got_tail == pytest.approx(tail, rel=1e-12, abs=0), cutoff
 
 
 def test_weyl_dimension_values():
