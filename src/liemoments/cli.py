@@ -11,7 +11,9 @@ mc-verify), 4 for internal consistency faults.
 Flags are the only input.  Each command accepts just the flags it reads,
 plus `--pretty`, so a flag given to any other command is a parse error:
 `--samples`, `--seed` and `--threads` belong to mc-verify, `--cache-dir`
-(default `$LIEMOMENTS_CACHE_DIR`) to char-table.
+(default `$LIEMOMENTS_CACHE_DIR` as read at each call) to char-table.
+`main` builds the parser once per process and runs the `cmd_<command>`
+handler that the module holds at call time.
 """
 
 from __future__ import annotations
@@ -217,7 +219,10 @@ def cmd_branch(args) -> dict:
 
 def cmd_char_table(args) -> dict:
     k = args.k
-    table = character_table(k, cache_dir=args.cache_dir)
+    cache_dir = args.cache_dir
+    if cache_dir is None:
+        cache_dir = os.environ.get(ENV_CACHE_DIR) or None
+    table = character_table(k, cache_dir=cache_dir)
     query = {"command": "char-table", "k": k}
     payload = {
         "k": k,
@@ -466,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, help="sp, so-even or so-odd")
     p.add_argument("--rank", default="stable", help="positive integer or 'stable'")
     p.add_argument("--lambda", dest="lam", required=True, metavar="PARTITION")
-    p.set_defaults(handler=cmd_expect_trace)
 
     p = sub.add_parser(
         "expect-twisted",
@@ -482,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="evaluate both independent routes and fail on mismatch",
     )
-    p.set_defaults(handler=cmd_expect_twisted)
 
     p = sub.add_parser(
         "ratio", parents=[common], help="limiting twisted-to-plain ratio"
@@ -497,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
             "character value, and fail unless it equals the character sum"
         ),
     )
-    p.set_defaults(handler=cmd_ratio)
 
     p = sub.add_parser(
         "asymptotics",
@@ -507,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="sp, so-even or so-odd")
     p.add_argument("--coeffs", required=True, metavar="COEFFS")
     p.add_argument("--gamma", default=None, metavar="PARTITION")
-    p.set_defaults(handler=cmd_asymptotics)
 
     p = sub.add_parser(
         "branch",
@@ -516,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--family", required=True, help="sp or so")
     p.add_argument("--lambda", dest="lam", required=True, metavar="PARTITION")
-    p.set_defaults(handler=cmd_branch)
 
     p = sub.add_parser(
         "char-table", parents=[common], help="symmetric group character table"
@@ -524,10 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument(
         "--cache-dir",
-        default=os.environ.get(ENV_CACHE_DIR) or None,
         help=f"character table cache directory (default: ${ENV_CACHE_DIR})",
     )
-    p.set_defaults(handler=cmd_char_table)
 
     p = sub.add_parser(
         "lr", parents=[common], help="Littlewood-Richardson coefficient"
@@ -535,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", required=True, metavar="PARTITION")
     p.add_argument("--mu", required=True, metavar="PARTITION")
     p.add_argument("--nu", required=True, metavar="PARTITION")
-    p.set_defaults(handler=cmd_lr)
 
     p = sub.add_parser(
         "g", parents=[common], help="invariant matching count of a cycle type"
@@ -546,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="closed",
         help="closed, brute, or rains:N for the bounded-decreasing-subsequence count",
     )
-    p.set_defaults(handler=cmd_g)
 
     p = sub.add_parser(
         "mc-verify",
@@ -563,22 +559,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threads", type=int, default=None, help="worker threads (default: CPU count)"
     )
-    p.set_defaults(handler=cmd_mc_verify)
 
     p = sub.add_parser(
         "selftest",
         parents=[common],
         help="run the built-in cross-validation ledger",
     )
-    p.set_defaults(handler=cmd_selftest)
 
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        doc = args.handler(args)
+        doc = handler(args)
     except StableRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(

@@ -2,13 +2,15 @@
 
 One JSON file per k, written atomically (temp file then rename) so a
 crashed writer can never leave a half-written table behind.  Anything
-unexpected on load (bad JSON, wrong format version, inconsistent shape)
-is treated as absent and the table gets rebuilt.
+unexpected on load (bad JSON, wrong format version, inconsistent shape, a
+trivial character that is not all ones, dimensions whose squares do not
+sum to k!) is treated as absent and the table gets rebuilt.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -39,6 +41,10 @@ def load_table(k: int, cache_dir: str | os.PathLike) -> CharacterTable | None:
         if classes != labels or labels != partitions_of(k) or len(values) != len(labels):
             return None
         if any(len(row) != len(labels) for row in values):
+            return None
+        if any(v != 1 for v in values[0]):
+            return None
+        if sum(row[-1] ** 2 for row in values) != math.factorial(k):
             return None
     except (KeyError, TypeError, ValueError):
         return None

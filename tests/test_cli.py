@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import liemoments
-from liemoments import characters, matchings
+from liemoments import characters, cli, matchings
 from liemoments.cli import main
 from liemoments.errors import ConsistencyError
 from liemoments.groups import Family
@@ -468,11 +468,15 @@ def test_selftest_alias(capsys):
 
 
 def test_version_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--version"])
-    assert exc.value.code == 0
-    out, _ = capsys.readouterr()
-    assert "liemoments" in out
+    # twice, because the second call reuses the parser the first one built
+    outs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+    assert outs[0].out == f"liemoments {liemoments.__version__}\n"
 
 
 def test_cache_created_and_corruption_survived(tmp_path, capsys):
@@ -534,4 +538,106 @@ def test_env_cache_dir(tmp_path, capsys, monkeypatch):
     characters._TABLE_MEMO.clear()
     run_json(["char-table", "--k", "5"], capsys)
     assert table_path(5, tmp_path).exists()
+    characters._TABLE_MEMO.clear()
+
+
+# S_3's table is [[1, 1, 1], [-1, 0, 2], [1, -1, 1]]; the last two files each
+# fail one check only: dimensions 1, 2, 1 still square-sum to 3!, and the
+# trivial row is still all ones.
+@pytest.mark.parametrize(
+    "values",
+    [[[9, 9, 9]] * 3, [[9, 9, 1], [-1, 0, 2], [1, -1, 1]], [[1, 1, 1], [9, 9, 9], [9, 9, 9]]],
+    ids=["all-nines", "trivial-row", "dimensions"],
+)
+def test_cache_file_with_wrong_values_is_rebuilt(values, tmp_path, capsys):
+    """A well-shaped file with impossible values is rebuilt and overwritten,
+    never printed."""
+    characters._TABLE_MEMO.clear()
+    want = run_json(["char-table", "--k", "3"], capsys)
+    labels = ["3", "2,1", "1,1,1"]
+    values = [[str(v) for v in row] for row in values]
+    doc = {"format": 1, "k": 3, "labels": labels, "classes": labels, "values": values}
+    path = table_path(3, tmp_path)
+    path.write_text(json.dumps(doc))
+    characters._TABLE_MEMO.clear()
+    assert run_json(["char-table", "--k", "3", "--cache-dir", str(tmp_path)], capsys) == want
+    assert json.loads(path.read_text())["values"] == want["table"]["values"]
+    characters._TABLE_MEMO.clear()
+
+
+def _fresh_stdout(argv):
+    src = os.path.dirname(os.path.dirname(liemoments.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "liemoments.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_handler_rebound_after_first_call_runs(capsys, monkeypatch):
+    """The handler that runs is the one the module holds at call time, also
+    after the parser was built: the benchmark wraps cli.cmd_* after import."""
+    argv = ["expect-trace", "--group", "so-even", "--lambda", "2,2"]
+    want = run_cli(argv, capsys)
+    calls = []
+    original = cli.cmd_expect_trace
+
+    def wrapper(args):
+        calls.append(args.lam)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_expect_trace", wrapper)
+    assert run_cli(argv, capsys) == want
+    assert calls == ["2,2"]
+
+
+def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
+    builds = []
+    original = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setenv("LIEMOMENTS_CACHE_DIR", str(tmp_path))
+    argvs = [argv for argv in _EXACT_ARGVS if argv[0] != "selftest"]
+    argvs += [["--version"], ["g", "--lambda", "2,1", "--cache-dir", "d"]]
+    argvs += [["mc-verify", "--group", "sp", "--n", "1", "--lambda", "1", "--samples", "64"]]
+    argvs = (argvs * 2)[:20]
+    for argv in argvs:
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+    capsys.readouterr()
+    assert builds == [1]
+    characters._TABLE_MEMO.clear()
+
+
+def test_parse_error_leaves_no_state_behind(capsys):
+    bad = ["expect-twisted", "--group", "sp", "--gamma", "1", "--lambda", "1", "--verify", "--samples", "5"]
+    good = ["expect-twisted", "--group", "so-odd", "--gamma", "1", "--lambda", "1,1"]
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli(good, capsys)[:2] == _fresh_stdout(good)
+
+
+def test_cache_dir_is_read_at_each_call(tmp_path, capsys, monkeypatch):
+    """Neither a --cache-dir flag nor the environment at the time the parser
+    was built decides where a later char-table writes."""
+    dirs = {name: tmp_path / name for name in ("built", "flag", "env")}
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setenv("LIEMOMENTS_CACHE_DIR", str(dirs["built"]))
+    characters._TABLE_MEMO.clear()
+    run_json(["char-table", "--k", "4", "--cache-dir", str(dirs["flag"])], capsys)
+    monkeypatch.setenv("LIEMOMENTS_CACHE_DIR", str(dirs["env"]))
+    run_json(["char-table", "--k", "5"], capsys)
+    assert table_path(4, dirs["flag"]).exists() and table_path(5, dirs["env"]).exists()
+    assert not dirs["built"].exists() and not table_path(5, dirs["flag"]).exists()
     characters._TABLE_MEMO.clear()
