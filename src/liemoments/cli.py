@@ -1,12 +1,13 @@
 """Command line interface.
 
-Every command prints one JSON document on stdout.  Exact results are
-reduced fractions carried as decimal strings, so output is byte-stable
-across runs and platforms: keys are sorted, separators fixed, and the
-metadata block contains no host-specific data.  Exit codes: 2 for parse
-or domain errors and for results that overflow or are not finite in
-floating point, 3 for queries outside the stable range (with a pointer to
-mc-verify), 4 for internal consistency faults.
+Every command prints one JSON document on stdout; `--pretty` indents the
+same document by two spaces.  Exact results are reduced fractions carried
+as decimal strings, so output is byte-stable across runs and platforms:
+keys are sorted, separators fixed, and the metadata block contains no
+host-specific data.  Exit codes: 2 for parse or domain errors and for
+results that overflow or are not finite in floating point, 3 for queries
+outside the stable range (with a pointer to mc-verify), 4 for internal
+consistency faults.
 
 Flags are the only input.  Each command accepts just the flags it reads,
 plus `--pretty`, so a flag given to any other command is a parse error:
@@ -45,10 +46,6 @@ SCHEMA_VERSION = 4
 ENV_CACHE_DIR = "LIEMOMENTS_CACHE_DIR"
 #: mc-verify reports agreement with the exact reference when |z| <= this.
 AGREE_Z = 4.0
-
-
-class CLIError(Exception):
-    """Unusable arguments; maps to exit code 2."""
 
 
 _CONV_EXACT = (
@@ -110,7 +107,7 @@ def _parse_rank(text: str) -> int | None:
     try:
         return int(text)
     except ValueError:
-        raise CLIError(f"rank must be a positive integer or 'stable', got {text!r}")
+        raise ValueError(f"rank must be a positive integer or 'stable', got {text!r}")
 
 
 def _parse_group(group_text: str, rank_text: str) -> GroupSpec:
@@ -263,16 +260,16 @@ def cmd_g(args) -> dict:
         try:
             bound = int(method.split(":", 1)[1])
         except ValueError:
-            raise CLIError(f"rains bound must be an integer, got {args.method!r}")
+            raise ValueError(f"rains bound must be an integer, got {args.method!r}")
         if lam and lam.parts[0] != 1:
-            raise CLIError(
+            raise ValueError(
                 "the rains method counts fixed-point-free involutions and only "
                 "applies to all-ones partitions"
             )
         value = fpf_involutions_lds(lam.weight, bound)
         stable_range = bound >= lam.weight
     else:
-        raise CLIError(
+        raise ValueError(
             f"unknown method {args.method!r}; expected closed, brute or rains:N"
         )
     query = {"command": "g", "lambda": str(lam), "method": method}
@@ -292,39 +289,38 @@ def cmd_mc_verify(args) -> dict:
     )
 
     if (args.lam is None) == (args.coeffs is None):
-        raise CLIError("mc-verify needs one observable: pass --lambda or --coeffs")
+        raise ValueError("mc-verify needs one observable: pass --lambda or --coeffs")
     family = Family.parse(args.group)
     G = GroupSpec(family, args.n)
     gamma = Partition.parse(args.gamma) if args.gamma is not None else None
     query = {"command": "mc-verify", "group": family.value, "n": args.n}
+    if gamma is not None:
+        query["gamma"] = str(gamma)
+    lam = None
     reference = None
-    observable_weight = None
 
     if args.coeffs is not None:
         f = FourierData.parse(args.coeffs)
         query["coeffs"] = args.coeffs
         if gamma is not None:
-            query["gamma"] = str(gamma)
             observable = TwistedPhiObservable(gamma, f)
         else:
             observable = PhiObservable(f)
     else:
         lam = Partition.parse(args.lam)
         query["lambda"] = str(lam)
-        observable_weight = lam.weight
         if gamma is not None:
-            query["gamma"] = str(gamma)
             observable = TwistedObservable(gamma, lam)
-            try:
-                reference = expect_twisted(G, gamma, lam)
-            except StableRangeError:
-                reference = None
         else:
             observable = TraceProductObservable(lam)
-            try:
+        # below the stable range there is no exact reference, only an estimate
+        try:
+            if gamma is not None:
+                reference = expect_twisted(G, gamma, lam)
+            else:
                 reference = expect_trace_product(G, lam)
-            except StableRangeError:
-                reference = None
+        except StableRangeError:
+            pass
 
     query["samples"] = args.samples
     query["seed"] = args.seed
@@ -339,14 +335,11 @@ def cmd_mc_verify(args) -> dict:
     if reference is not None and est.stderr > 0:
         mc["z"] = (est.mean - float(reference)) / est.stderr
         mc["agree"] = abs(mc["z"]) <= AGREE_Z
-    stable = (
-        G.covers_weight(observable_weight) if observable_weight is not None else False
-    )
     return _result(
         query,
         exact=reference,
         mc=mc,
-        stable_range=stable,
+        stable_range=lam is not None and G.covers_weight(lam.weight),
         conventions=[_CONV_RANK, _CONV_MC],
     )
 
@@ -389,67 +382,12 @@ def cmd_selftest(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# output
-
-
-def _print_pretty(doc: dict) -> None:
-    query = doc.get("query", {})
-    print("query:")
-    for key in sorted(query):
-        print(f"  {key}: {query[key]}")
-    if "exact" in doc:
-        pair = doc["exact"]
-        text = pair["numerator"]
-        if pair["denominator"] != "1":
-            text += "/" + pair["denominator"]
-        print(f"exact: {text}")
-    if "float" in doc:
-        print(f"float: {doc['float']}")
-    if "mc" in doc:
-        mc = doc["mc"]
-        line = f"mc: mean={mc['mean']:.6g} stderr={mc['stderr']:.3g} samples={mc['samples']} seed={mc['seed']}"
-        if "z" in mc:
-            line += f" z={mc['z']:+.2f} agree={str(mc['agree']).lower()}"
-        print(line)
-    if "expansion" in doc:
-        print("expansion:")
-        for term in doc["expansion"]:
-            print(f"  {term['target']}: {term['multiplicity']}")
-    if "table" in doc:
-        table = doc["table"]
-        labels, classes, values = table["labels"], table["classes"], table["values"]
-        left = max(len(s) for s in labels) if labels else 1
-        widths = [
-            max(len(classes[j]), max(len(row[j]) for row in values))
-            for j in range(len(classes))
-        ]
-        header = " " * left + "  " + "  ".join(
-            c.rjust(w) for c, w in zip(classes, widths)
-        )
-        print(header)
-        for lab, row in zip(labels, values):
-            print(
-                lab.ljust(left)
-                + "  "
-                + "  ".join(v.rjust(w) for v, w in zip(row, widths))
-            )
-    if "checks" in doc:
-        print("checks:")
-        for name in sorted(doc["checks"]):
-            print(f"  {name}: {doc['checks'][name]}")
-    meta = doc["metadata"]
-    print(f"stable-range: {str(meta['stable_range']).lower()}")
-    for note in meta["conventions"]:
-        print(f"note: {note}")
-
-
-# ---------------------------------------------------------------------------
 # parser
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--pretty", action="store_true", help="human-readable output")
+    common.add_argument("--pretty", action="store_true", help="indent the JSON document")
 
     parser = argparse.ArgumentParser(
         prog="liemoments",
@@ -597,18 +535,21 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"error: result out of floating-point range: {exc}", file=sys.stderr)
         return 2
-    except (CLIError, ValueError, ResourceBoundError) as exc:
+    except (ValueError, ResourceBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        text = json.dumps(
+            doc,
+            sort_keys=True,
+            indent=2 if args.pretty else None,
+            separators=(",", ": " if args.pretty else ":"),
+            allow_nan=False,
+        )
     except ValueError:
         print("error: result is not finite in floating point", file=sys.stderr)
         return 2
-    if args.pretty:
-        _print_pretty(doc)
-    else:
-        sys.stdout.write(text + "\n")
+    sys.stdout.write(text + "\n")
     return 0
 
 

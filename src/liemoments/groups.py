@@ -18,18 +18,9 @@ class Family(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Family":
-        key = text.strip().lower().replace("_", "-")
-        aliases = {
-            "sp": cls.SP,
-            "symplectic": cls.SP,
-            "so-even": cls.SO_EVEN,
-            "soeven": cls.SO_EVEN,
-            "so-odd": cls.SO_ODD,
-            "soodd": cls.SO_ODD,
-        }
         try:
-            return aliases[key]
-        except KeyError:
+            return cls(text.strip().lower())
+        except ValueError:
             raise ValueError(
                 f"unknown family {text!r}; expected one of sp, so-even, so-odd"
             ) from None

@@ -166,10 +166,10 @@ def test_c05_monte_carlo_concordance_stable_range(capsys):
             passed += ok
             if est.stderr > 0:
                 worst = max(worst, diff / est.stderr)
-    rate = passed / total
-    report(capsys, 5,  "stable-range Monte Carlo concordance at 4 sigma", rate >= 0.95,
+    # every cell must pass: at seed 2024 the worst |z| is 2.17, well inside 4 sigma
+    report(capsys, 5,  "stable-range Monte Carlo concordance at 4 sigma", passed == total,
            f"{passed}/{total} cells, worst z {worst:.2f}")
-    assert rate >= 0.95
+    assert passed == total
 
 
 def test_c06_below_stable_range_involution_count(capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -167,6 +168,7 @@ def test_asymptotics_plain(capsys):
         ("sp", math.exp(0.045)),
         ("so-odd", math.exp(0.045)),
         ("so-even", math.exp(0.045)),
+        (" SO-Even ", math.exp(0.045)),
     ]:
         doc = run_json(
             ["asymptotics", "--family", family, "--coeffs", "c1=0.3"], capsys
@@ -300,6 +302,9 @@ def test_huge_brute_force_weight_exits_2_at_once(monkeypatch, capsys):
 def test_exit_code_2_on_bad_input(capsys):
     cases = [
         ["expect-trace", "--group", "su", "--lambda", "2"],
+        ["expect-trace", "--group", "symplectic", "--lambda", "2"],
+        ["expect-trace", "--group", "so_even", "--lambda", "2"],
+        ["asymptotics", "--family", "soodd", "--coeffs", "c1=0.3"],
         ["expect-trace", "--group", "sp", "--lambda", "spam"],
         ["expect-trace", "--group", "sp", "--rank", "0", "--lambda", "2"],
         ["mc-verify", "--group", "sp", "--n", "2"],
@@ -447,16 +452,37 @@ def test_exit_code_4_on_consistency_fault(capsys, monkeypatch):
     assert "consistency" in err
 
 
-def test_pretty_output(capsys):
-    code, out, _ = run_cli(
-        ["expect-trace", "--group", "sp", "--lambda", "2", "--pretty"], capsys
-    )
-    assert code == 0
-    assert "exact: -1" in out
-    assert "stable-range: true" in out
-    code, out, _ = run_cli(["char-table", "--k", "3", "--pretty"], capsys)
-    assert code == 0
-    assert "2,1" in out
+def test_pretty_output(tmp_path, capsys, monkeypatch):
+    """--pretty prints the compact document indented, and changes neither the
+    exit code nor stderr."""
+    monkeypatch.setenv("LIEMOMENTS_CACHE_DIR", str(tmp_path))
+    mc = ["mc-verify", "--group", "sp", "--n", "2", "--lambda", "2,2", "--samples", "500", "--seed", "1"]
+    for argv in _EXACT_ARGVS + [mc]:
+        compact = [a for a in argv if a != "--pretty"]
+        code, out, err = run_cli(compact, capsys)
+        pretty_code, pretty, pretty_err = run_cli(compact + ["--pretty"], capsys)
+        assert (pretty_code, pretty_err) == (code, err), argv
+        if code == 0:
+            assert json.loads(pretty) == json.loads(out), argv
+            assert pretty == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n", argv
+        else:
+            assert pretty == out == "", argv
+    characters._TABLE_MEMO.clear()
+
+
+def test_readme_examples(capsys):
+    """Every `$ liemoments ...` line of README.md exits 0 with JSON, and the
+    values its comments name are the ones printed."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        lines = [line.split("#")[0] for line in fh if line.startswith("$ liemoments ")]
+    assert len(lines) == 5
+    docs = {}
+    for line in lines:
+        argv = shlex.split(line)[2:]
+        docs[argv[0]] = run_json(argv, capsys)
+    assert docs["ratio"]["exact"] == {"numerator": "11", "denominator": "24"}
+    assert docs["asymptotics"]["float"] == pytest.approx(math.exp(0.045))
 
 
 def test_selftest_alias(capsys):
