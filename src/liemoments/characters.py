@@ -5,7 +5,8 @@ implemented on first-column beta numbers: removing a border strip of length
 r from the diagram is the same as replacing one beta number b by b - r
 (provided b - r is not already a beta number), and the height of the strip
 is the number of beta numbers strictly between the two.  All arithmetic is
-exact integers.
+exact integers.  The removals of each (shape, strip length) are computed
+once per process and shared by every recursion step that meets that shape.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ def _strip_recursion(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
 def _border_strip_removals(lam: tuple[int, ...], r: int):
     """All ways to remove a border strip of length r, as (smaller shape, height)."""
     ell = len(lam)
@@ -57,7 +59,7 @@ def _border_strip_removals(lam: tuple[int, ...], r: int):
         new_beta = sorted((beta_set - {b}) | {nb}, reverse=True)
         parts = tuple(new_beta[j] - (ell - 1 - j) for j in range(ell))
         out.append((tuple(p for p in parts if p > 0), height))
-    return out
+    return tuple(out)
 
 
 class CharacterTable:

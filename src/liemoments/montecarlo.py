@@ -7,6 +7,14 @@ in an index-ordered array, and the mean is taken over that array with
 numpy's pairwise summation.  Worker count therefore cannot change any bit
 of the result, only the wall time.
 
+A worker takes one chunk of `CHUNK` samples at a time and makes its stream
+handles once; it then draws, checks and evaluates them in consecutive
+blocks of at most 1024 matrices and 2^19 matrix entries, writing each
+block's values into the chunk's output.  So a worker holds the chunk's
+handles and values plus one block's normals, matrices, QR factors, powers
+and angles, whatever the matrix size.  Each sample's values depend only on
+its own draws, so the block size changes no bit either.
+
 Every observable is one product, characters times power traces times Phi,
 evaluated by `_Product.evaluate`; the public classes only name their
 factors.
@@ -44,6 +52,9 @@ from .sampling import (
 from .szego import FourierData, weyl_dimension
 
 CHUNK = 4096
+#: a block of a chunk holds at most this many matrices and matrix entries
+_BLOCK_ROWS = 1024
+_BLOCK_ENTRIES = 1 << 19
 MAX_RESAMPLE_ROUNDS = 12
 DEGENERACY_BUDGET = 0.01
 #: ln of the largest float; exp overflows beyond it
@@ -148,10 +159,26 @@ class CharacterProductObservable(_Product):
 
 
 def _chunk_block(G, observables, seed, i0, i1, pmax, labels):
-    tolerances = config.DEFAULT_TOLERANCES
+    """Values of samples [i0, i1), shape (num observables, i1 - i0), and the
+    number of samples that needed a redraw, computed in blocks of
+    min(1024, 2^19 // m^2) samples for m x m matrices, and at least one."""
     rngs = [rng_for_sample(seed, i) for i in range(i0, i1)]
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // G.matrix_size**2))
+    out = np.empty((len(observables), i1 - i0))
+    degenerate = 0
+    for s in range(0, i1 - i0, rows):
+        block = slice(s, s + rows)
+        degenerate += _evaluate_block(G, observables, rngs[block], pmax, labels, out[:, block])
+    return out, degenerate
+
+
+def _evaluate_block(G, observables, rngs, pmax, labels, out) -> int:
+    """Draw one matrix per handle, redraw the degenerate ones from their own
+    streams until none is left, and write each observable's values into its
+    row of `out`; returns how many samples were redrawn."""
+    tolerances = config.DEFAULT_TOLERANCES
     mats = sample_matrices(G, rngs)
-    ever_degenerate = np.zeros(i1 - i0, dtype=bool)
+    ever_degenerate = np.zeros(len(rngs), dtype=bool)
     for _ in range(MAX_RESAMPLE_ROUNDS + 1):
         traces, imag = trace_powers_batch(mats, pmax)
         bad = imag > tolerances.trace_imag
@@ -164,13 +191,15 @@ def _chunk_block(G, observables, seed, i0, i1, pmax, labels):
                 bad = bad | cbad
                 chars[lab] = values
         if not bad.any():
-            block = np.stack([obs.evaluate(G.rank, traces, chars) for obs in observables])
-            return block, int(ever_degenerate.sum())
+            for row, obs in zip(out, observables):
+                row[:] = obs.evaluate(G.rank, traces, chars)
+            return int(ever_degenerate.sum())
         ever_degenerate |= bad
         idx = np.nonzero(bad)[0]
         mats[idx] = sample_matrices(G, [rngs[i] for i in idx])
     raise DegeneracyError(
-        f"chunk [{i0},{i1}) still degenerate after {MAX_RESAMPLE_ROUNDS} redraw rounds"
+        f"samples [{rngs[0].index},{rngs[-1].index + 1}) still degenerate "
+        f"after {MAX_RESAMPLE_ROUNDS} redraw rounds"
     )
 
 

@@ -17,8 +17,9 @@ Constructions, both from one QR with the R-diagonal phase fix (Mezzadri,
 "How to generate random matrices from the classical compact groups",
 Notices AMS 54, 2007): scaling each column of Q by the phase of the
 matching R diagonal entry turns the QR of a Gaussian matrix into a Haar
-draw.  QR runs over fixed slices of the batch, since it holds about four
-copies of its input.
+draw.  A batch is one block of a Monte Carlo chunk (`montecarlo`), which
+bounds its matrix entries, so QR, which holds about four copies of its
+input, runs on the whole batch at once.
 
   SO(m): QR of a real Gaussian matrix, where the phase is the sign; this
   gives Haar on O(m), and determinant -1 draws are pushed into SO(m) by
@@ -103,24 +104,16 @@ def _normals(streams, shape) -> np.ndarray:
 # matrix construction
 
 
-#: matrices per np.linalg.qr call: QR holds about four copies of its input,
-#: so a 4096-sample chunk goes through in quarters
-_QR_SLICE = 1024
-
-
 def _haar_qr(a: np.ndarray) -> np.ndarray:
     """Q of a stack of Gaussian matrices, each column scaled by the phase of
     the matching R diagonal entry, written over `a`: Haar on O(m) for real
     input and on U(m) for complex.  For real input the phase is the sign."""
-    for s in range(0, len(a), _QR_SLICE):
-        block = a[s : s + _QR_SLICE]
-        q, r = np.linalg.qr(block)
-        d = np.diagonal(r, axis1=1, axis2=2)
-        size = np.abs(d)
-        zero = size == 0  # probability 0; keep the column
-        phase = np.where(zero, 1.0, d / np.where(zero, 1.0, size))
-        np.multiply(q, phase[:, None, :], out=block)
-        del q, r, d  # before the next slice's QR makes its copies
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    size = np.abs(d)
+    zero = size == 0  # probability 0; keep the column
+    phase = np.where(zero, 1.0, d / np.where(zero, 1.0, size))
+    np.multiply(q, phase[:, None, :], out=a)
     return a
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -198,6 +199,42 @@ def test_every_observable_shape_is_pinned_bit_for_bit(G):
     results = estimate_many(G, _PIN_OBSERVABLES, 3000, seed=2026, threads=1)
     got = [(e.mean.hex(), e.stderr.hex()) for e in results]
     assert got == _PINNED[G]
+
+
+# The same observables over Sp(40), 700 samples at seed 2026.  Its blocks
+# hold 2^19 // 40^2 = 327 matrices, so the chunk runs as 327 + 327 + 46.
+_PINNED_SP40 = [
+    ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ("-0x1.01cfc8fa50f92p+0", "0x1.9923d0bb26900p-4"),
+    ("-0x1.fe848ffa38fb4p-1", "0x1.3a7d4497b133cp-4"),
+    ("0x1.51c70a2f2cc6fp+1", "0x1.1218c462ee88ap-2"),
+    ("0x1.407a2cdeae7b5p+3", "0x1.942ff24a899b8p-3"),
+    ("-0x1.b0d1de63556f4p+0", "0x1.f3184dd572877p-2"),
+    ("0x1.d3e0f0b4ebba2p-1", "0x1.0876c4cff2cf1p-4"),
+    ("-0x1.5e8a3ea3fdeddp-4", "0x1.af055cc0ea531p-5"),
+]
+
+
+def test_partial_blocks_are_pinned_bit_for_bit():
+    results = estimate_many(GroupSpec.sp(20), _PIN_OBSERVABLES, 700, seed=2026, threads=1)
+    got = [(e.mean.hex(), e.stderr.hex()) for e in results]
+    assert got == _PINNED_SP40
+
+
+def test_sample_values_holds_one_block_at_a_time():
+    """A worker draws and evaluates a chunk in blocks: over Sp(80) a block
+    is 2^19 // 80^2 = 81 complex 80 x 80 matrices, and 300 samples peak at
+    a few such blocks (QR holds about four copies of its input), not at a
+    few copies of all 300 matrices."""
+    G = GroupSpec.sp(40)
+    block_bytes = (2**19 // G.matrix_size**2) * G.matrix_size**2 * 16
+    tracemalloc.start()
+    try:
+        sample_values(G, [TraceProductObservable(P("1"))], 300, 8, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * block_bytes
 
 
 def test_too_few_samples():

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,26 +127,6 @@ def test_sp_draw_matches_gram_schmidt(n):
     assert [s.used for s in streams] == [s.used for s in fresh]
     assert np.array_equal(g[:, n:, n:], np.conj(g[:, :n, :n]))
     assert np.array_equal(g[:, :n, n:], -np.conj(g[:, n:, :n]))
-
-
-def _peak_bytes(draw) -> int:
-    streams = [rng_for_sample(8, i) for i in range(4096)]
-    tracemalloc.start()
-    try:
-        draw(streams)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_sp_draw_memory_within_gram_schmidt():
-    """QR holds several copies of its input, so a whole 4096-sample chunk
-    of Sp(20) in one QR call would need more memory than Gram-Schmidt;
-    the draw must not."""
-    G = GroupSpec.sp(10)
-    qr_peak = _peak_bytes(lambda streams: sample_matrices(G, streams))
-    gs_peak = _peak_bytes(lambda streams: sp_gram_schmidt(10, streams))
-    assert qr_peak <= gs_peak
 
 
 def test_so2_angle_uniform():
