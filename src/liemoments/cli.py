@@ -34,11 +34,11 @@ from .errors import (
     ResourceBoundError,
     StableRangeError,
 )
-from .expectations import expect_trace_product, expect_twisted
+from .expectations import expect_trace_product, expect_twisted, expect_twisted_route_a
 from .groups import Family, GroupSpec
 from .lr import branching_decomposition, lr_coefficient
 from .matchings import fpf_involutions_lds, g_bruteforce, g_closed
-from .partitions import Partition, partitions_of
+from .partitions import Partition, partitions_of, sgn
 from .szego import FourierData, SchurSpecialization, johansson_limit, twisted_asymptotic
 
 SCHEMA_VERSION = 4
@@ -135,7 +135,7 @@ def cmd_expect_trace(args) -> dict:
     return _result(
         query,
         exact=value,
-        stable_range=G.covers_weight(lam.weight),
+        stable_range=G.closed_form_holds(lam.weight),
         conventions=[_CONV_EXACT, _CONV_RANK],
     )
 
@@ -156,7 +156,7 @@ def cmd_expect_twisted(args) -> dict:
     return _result(
         query,
         exact=value,
-        stable_range=G.covers_weight(lam.weight),
+        stable_range=G.closed_form_holds(lam.weight, gamma.weight),
         conventions=[_CONV_EXACT, _CONV_RANK],
     )
 
@@ -339,7 +339,8 @@ def cmd_mc_verify(args) -> dict:
         query,
         exact=reference,
         mc=mc,
-        stable_range=lam is not None and G.covers_weight(lam.weight),
+        stable_range=lam is not None
+        and G.closed_form_holds(lam.weight, gamma.weight if gamma else 0),
         conventions=[_CONV_RANK, _CONV_MC],
     )
 
@@ -347,14 +348,20 @@ def cmd_mc_verify(args) -> dict:
 def cmd_selftest(args) -> dict:
     checks: dict[str, int] = {}
 
+    # g(lam) is the permutation character sum_beta chi_beta(lam) over the
+    # paired partitions beta, which is route A at gamma = 0: it gives g on
+    # SO and sgn(lam) * g on Sp
     count = 0
     for k in (2, 4, 6, 8):
         for lam in partitions_of(k):
-            if g_closed(lam) != g_bruteforce(lam):
-                raise ConsistencyError(
-                    f"matching count mismatch at {lam}: "
-                    f"closed {g_closed(lam)}, brute force {g_bruteforce(lam)}"
-                )
+            for family in (Family.SO_EVEN, Family.SP):
+                want = g_closed(lam) * (sgn(lam) if family.epsilon else 1)
+                got = expect_twisted_route_a(GroupSpec.stable(family), Partition(), lam)
+                if got != want:
+                    raise ConsistencyError(
+                        f"matching count mismatch at {lam} on {family}: "
+                        f"closed form {want}, character sum {got}"
+                    )
             count += 1
     checks["matching-counts"] = count
 

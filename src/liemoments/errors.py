@@ -20,9 +20,11 @@ class ResourceBoundError(LieMomentsError):
 class StableRangeError(LieMomentsError):
     """An exact formula was requested outside the rank range where it is valid.
 
-    The closed-form group averages hold only once the rank dominates the
-    weight of the observable.  Below that range the correct value generally
-    differs, so we refuse rather than silently return the stable answer.
+    The closed-form group averages hold only where
+    `GroupSpec.closed_form_holds` says so, a matrix size set by the weights
+    of the trace product and of the twisting label.  Below that range the
+    correct value generally differs, so we refuse rather than silently
+    return the stable answer.
     """
 
 

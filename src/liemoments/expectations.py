@@ -1,11 +1,10 @@
 """Exact Haar-measure averages of trace products, plain and character-twisted.
 
 The plain average of p_lam = prod_i (tr g^{lam_i}) over Sp(2n), SO(2n) or
-SO(2n+1) equals sgn(lam)^eps * g(lam) whenever the rank covers the weight
-(eps = 1 for Sp, 0 for SO), with g the preserved-matching count.  Twisted
-averages insert an irreducible character of the group evaluated at g; they
-are computed by two genuinely different routes that the verification mode
-plays against each other:
+SO(2n+1) equals sgn(lam)^eps * g(lam) (eps = 1 for Sp, 0 for SO), with g the
+preserved-matching count.  Twisted averages insert an irreducible character
+of the group evaluated at g; they are computed by two genuinely different
+routes that the verification mode plays against each other:
 
   route A expands p_lam = sum_nu chi_nu(lam) s_nu and restricts each s_nu
   to the group: the coefficient of chi_gamma is the Littlewood-Richardson
@@ -19,9 +18,15 @@ plays against each other:
 No extra sign prefactors appear in either route: for Sp the even
 multiplicities of beta turn the matching count into its signed version, and
 route B inherits the sign through the plain average of the remainder.
+
+These closed forms hold exactly where `GroupSpec.closed_form_holds` says so;
+every route refuses the other cells with StableRangeError, and only the Sp
+all-ones average has an exact value below that range.
 """
 
 from __future__ import annotations
+
+from itertools import count
 
 from .characters import character_value
 from .errors import ConsistencyError, StableRangeError
@@ -31,11 +36,13 @@ from .matchings import fpf_involutions_lds, g_closed
 from .partitions import Partition, sgn, sub_splittings
 
 
-def _require_stable(G: GroupSpec, k: int) -> None:
-    if not G.covers_weight(k):
+def _require_stable(G: GroupSpec, k: int, j: int) -> None:
+    if not G.closed_form_holds(k, j):
+        ranks = (GroupSpec(G.family, r) for r in count(G.rank + 1))
+        first = next(H for H in ranks if H.closed_form_holds(k, j))
         raise StableRangeError(
-            f"{G} has rank below the weight {k} of the requested observable; "
-            f"the exact formula needs rank >= {k}. "
+            f"{G} is below the stable range of this observable (|lambda| = {k}, "
+            f"|gamma| = {j}): its closed form holds from {first} on. "
             "Use the Monte Carlo verifier (mc-verify) in this regime."
         )
 
@@ -50,15 +57,15 @@ def _plain_average_stable(family: Family, lam: Partition) -> int:
 def expect_trace_product(G: GroupSpec, lam: Partition) -> int:
     """Exact average of prod_i tr(g^{lam_i}) over G.
 
-    Valid whenever the rank covers the weight.  The one handled exception
-    below the stable range is Sp with lam = (1,...,1), where the average of
-    (tr g)^k counts fixed-point-free involutions with longest decreasing
-    subsequence at most 2n.
+    Valid wherever `GroupSpec.closed_form_holds(|lam|, 0)`.  The one handled
+    exception below that range is Sp(2n) with lam = (1,...,1) and 2n < |lam|,
+    where the average of (tr g)^k counts fixed-point-free involutions with
+    longest decreasing subsequence at most 2n.
     """
     k = lam.weight
-    if not G.covers_weight(k) and G.family is Family.SP and lam.parts == (1,) * k:
+    if not G.closed_form_holds(k) and G.family is Family.SP and lam.parts == (1,) * k:
         return fpf_involutions_lds(k, 2 * G.rank)
-    _require_stable(G, k)
+    _require_stable(G, k, 0)
     return _plain_average_stable(G.family, lam)
 
 
@@ -67,7 +74,7 @@ def expect_twisted_route_a(G: GroupSpec, gamma: Partition, lam: Partition) -> in
     Schur expansion of p_lam."""
     k = lam.weight
     j = gamma.weight
-    _require_stable(G, k)
+    _require_stable(G, k, j)
     if j > k or (k - j) % 2:
         return 0
     total = 0
@@ -83,7 +90,7 @@ def expect_twisted_route_b(G: GroupSpec, gamma: Partition, lam: Partition) -> in
     average (which carries the family's sign)."""
     k = lam.weight
     j = gamma.weight
-    _require_stable(G, k)
+    _require_stable(G, k, j)
     if j > k or (k - j) % 2:
         return 0
     total = 0

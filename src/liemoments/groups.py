@@ -78,9 +78,24 @@ class GroupSpec:
             return 2 * self.rank + 1
         return 2 * self.rank
 
-    def covers_weight(self, k: int) -> bool:
-        """Whether the stable-range hypothesis rank >= k holds."""
-        return self.rank is None or self.rank >= k
+    def closed_form_holds(self, k: int, j: int = 0) -> bool:
+        """Whether the closed-form average of p_lam twisted by chi_gamma,
+        |lam| = k and |gamma| = j, holds on this group.
+
+        It holds on the stable group and whenever j >= k (j > k averages to
+        0 by orthogonality, j = k is the traceless-tensor part).  Otherwise,
+        with w = k + j and m the matrix size, it needs m >= w or w odd on
+        Sp(2n), m >= w + 2 or w odd on SO(2n) (both contain -I, so odd
+        weights vanish), and on SO(2n+1) m >= w + 2 for odd w and 2m >= w
+        for even w: Rains' Schur-function integrals over Sp(2n) and O(m)
+        (Electron. J. Combin. 5, 1998, R12).
+        """
+        if self.rank is None or j >= k:
+            return True
+        w, m = k + j, self.matrix_size
+        if self.family is Family.SO_ODD:
+            return m >= w + 2 if w % 2 else 2 * m >= w
+        return w % 2 == 1 or m >= (w if self.family is Family.SP else w + 2)
 
     def __str__(self) -> str:
         if self.rank is None:

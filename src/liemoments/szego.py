@@ -243,8 +243,9 @@ def expect_phi_series(
     rigorous tail bound.
 
     The value is e^{n c0} * sum over supported lam with |lam| <= W of
-    (prod c_i^{mult}/mult!) times the exact twisted average; every retained
-    term satisfies the stable-range hypothesis because W <= n is enforced.
+    (prod c_i^{mult}/mult!) times the exact twisted average.  A retained
+    term outside the range of `GroupSpec.closed_form_holds` raises
+    StableRangeError; every cutoff W <= n is inside it.
     The tail bound uses |tr g^i| <= m (matrix size) and |chi_gamma| <= its
     dimension, so it is conservative but honest:
     dim * e^{n c0} * (exp(m * sum|c_i|) - sum of retained m^{l(lam)} *
@@ -256,11 +257,6 @@ def expect_phi_series(
     if G.is_stable:
         raise ValueError("series evaluation needs a finite rank")
     n = G.rank
-    if weight_cutoff > n:
-        raise ValueError(
-            f"weight cutoff {weight_cutoff} exceeds rank {n}; terms beyond the "
-            "rank would use the exact formula outside its validity range"
-        )
     if weight_cutoff < 0:
         raise ValueError(f"weight cutoff must be non-negative, got {weight_cutoff}")
 

@@ -277,3 +277,46 @@ def torus_average(
             ]
         value = value * e[n]
     return float(value.sum() / density.sum())
+
+
+def weyl_twisted_average(
+    family: Family, n: int, gamma: tuple[int, ...], lam: tuple[int, ...]
+) -> float:
+    """Haar average of chi_gamma(g) * prod_i tr(g^{lam_i}) over Sp(2n), SO(2n)
+    or SO(2n+1) by the Weyl integration formula: the torus sum of
+    num * den * p_lam over the torus sum of den^2.
+
+    num and den are the Weyl determinants det trig(e_j theta_i) at the
+    exponents e = gamma + rho and e = rho, with rho_j = n - j + 1, n - j + 1/2
+    and n - j on Sp, SO(2n+1) and SO(2n), and trig = cos on SO(2n), sin
+    otherwise.  den^2 is the Haar density up to a constant, and num / den is
+    the character, or on SO(2n) half the mirror sum for a label of full
+    length, which is doubled here.  Every factor is a trigonometric
+    polynomial whose degree per angle is below the 2n + |lam| + gamma_1 + 3
+    grid points, so the trapezoid rule is exact up to rounding.
+    """
+    points = 2 * n + sum(lam) + (gamma[0] if gamma else 0) + 3
+    grid = 2 * np.pi * np.arange(points) / points
+    theta = np.meshgrid(*[grid] * n, indexing="ij", sparse=True)
+    shift = {Family.SP: 1.0, Family.SO_ODD: 0.5, Family.SO_EVEN: 0.0}[family]
+    rho = [n - 1 - j + shift for j in range(n)]
+    trig = np.cos if family is Family.SO_EVEN else np.sin
+
+    def alternant(exponents):
+        total = 0.0
+        for perm in permutations(range(n)):
+            term = perm_sign(perm)
+            for i, j in enumerate(perm):
+                term = term * trig(exponents[j] * theta[i])
+            total = total + term
+        return total
+
+    parts = list(gamma) + [0] * (n - len(gamma))
+    num = alternant([p + r for p, r in zip(parts, rho)])
+    den = alternant(rho)
+    value = num * den
+    fixed = 1.0 if family is Family.SO_ODD else 0.0
+    for k in lam:
+        value = value * (fixed + sum(2.0 * np.cos(k * t) for t in theta))
+    mirror = 2 if family is Family.SO_EVEN and len(gamma) == n else 1
+    return mirror * float(value.sum() / (den * den).sum())

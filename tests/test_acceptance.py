@@ -289,11 +289,12 @@ def test_c11_weyl_integration_oracle(capsys):
             if abs(value - ref) > 1e-9:
                 mismatches.append((G, lam, value, ref))
             checked += 1
-    # plain averages on every family validate the three densities
+    # plain averages on every family validate the three densities, at every
+    # weight up to 6 where the closed form holds
     for family in FAMILIES:
         for n in range(1, 5):
             G = GroupSpec(family, n)
-            for k in range(n + 1):
+            for k in filter(G.closed_form_holds, range(7)):
                 for lam in partitions_of(k):
                     ref = torus_average(family, n, lam.parts)
                     value = expect_trace_product(G, lam)
@@ -303,3 +304,26 @@ def test_c11_weyl_integration_oracle(capsys):
     report(capsys, 11,  "exact averages match the Weyl integration formula",
            not mismatches, f"{checked} cells")
     assert not mismatches, mismatches[:5]
+
+
+def test_c12_monte_carlo_below_the_old_rank_rule(capsys):
+    # rank >= |lam| fails on these cells, but the closed form holds; the
+    # values come from a torus quadrature
+    cells = [
+        (GroupSpec.sp(3), P("1"), P("1,1,1,1,1"), 15),
+        (GroupSpec.so_odd(2), P(""), P("2,1,1"), 1),
+        (GroupSpec.so_even(4), P(""), P("2,2,1,1"), 3),
+    ]
+    bad = []
+    details = []
+    for G, gamma, lam, want in cells:
+        exact = expect_twisted(G, gamma, lam)
+        obs = TwistedObservable(gamma, lam) if gamma else TraceProductObservable(lam)
+        est = estimate(G, obs, 100_000, seed=12)
+        z = (est.mean - exact) / est.stderr
+        if exact != want or abs(z) > 4:
+            bad.append((str(G), exact, est.mean, est.stderr))
+        details.append(f"{G} exact {exact}, z {z:+.2f}")
+    report(capsys, 12, "Monte Carlo agrees below rank = weight, inside the closed form's range",
+           not bad, "; ".join(details))
+    assert not bad, bad

@@ -229,6 +229,30 @@ def test_g_methods(capsys):
     assert doc["metadata"]["stable_range"] is True
 
 
+def test_stable_range_flags_agree_on_sp_all_ones(capsys):
+    """expect-trace over Sp(2n) and g's rains:2n count the same involutions,
+    and both flag the closed form's range the same way."""
+    for n in range(1, 5):
+        for k in (2, 4, 6, 8):
+            lam = ",".join(["1"] * k)
+            trace = run_json(["expect-trace", "--group", "sp", "--rank", str(n), "--lambda", lam], capsys)
+            rains = run_json(["g", "--lambda", lam, "--method", f"rains:{2 * n}"], capsys)
+            assert trace["exact"] == rains["exact"], (n, k)
+            flags = [doc["metadata"]["stable_range"] for doc in (trace, rains)]
+            assert flags[0] == flags[1] == (2 * n >= k), (n, k)
+
+
+def test_mc_verify_references_a_cell_below_the_old_rank_rule(capsys):
+    # SO(5) is below rank >= |lam| for (2,1,1), inside the closed form's range
+    doc = run_json(
+        ["mc-verify", "--group", "so-odd", "--n", "2", "--lambda", "2,1,1", "--samples", "2000", "--seed", "1"],
+        capsys,
+    )
+    assert doc["exact"] == {"numerator": "1", "denominator": "1"}
+    assert doc["metadata"]["stable_range"] is True
+    assert "z" in doc["mc"] and "agree" in doc["mc"]
+
+
 MC_VERIFY_SP2 = [
     "mc-verify",
     "--group",
@@ -386,11 +410,11 @@ run("lr", "--lambda", "2,1", "--mu", "1", "--nu", "2")
 run("g", "--lambda", "2,2", "--method", "closed")
 run("g", "--lambda", "1,1,1,1", "--method", "rains:2")
 run("char-table", "--k", "5", "--cache-dir", sys.argv[1])
+run("selftest")
 assert "numpy" not in sys.modules, "an exact command loaded numpy"
 
 run("mc-verify", "--group", "sp", "--n", "1", "--lambda", "1,1", "--samples", "100")
 run("g", "--lambda", "2,2", "--method", "brute")
-run("selftest")
 G = liemoments.GroupSpec.sp(1)
 est = liemoments.estimate(G, liemoments.TraceProductObservable(liemoments.Partition([1, 1])), 100, 1)
 assert est.samples == 100

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+from itertools import count
+
 import pytest
+from oracles import weyl_twisted_average
 
 from liemoments import expectations
 from liemoments.errors import StableRangeError
@@ -10,7 +13,7 @@ from liemoments.expectations import (
     expect_twisted_route_a,
     expect_twisted_route_b,
 )
-from liemoments.groups import Family, GroupSpec
+from liemoments.groups import Family, GroupSpec, mirror_factor
 from liemoments.matchings import double_factorial
 from liemoments.partitions import Partition, partitions_of
 
@@ -73,7 +76,7 @@ def test_below_stable_range_refused():
     with pytest.raises(StableRangeError):
         expect_trace_product(GroupSpec.sp(1), P("2,2"))
     with pytest.raises(StableRangeError):
-        expect_trace_product(GroupSpec.so_odd(2), P("3,1"))
+        expect_trace_product(GroupSpec.so_odd(1), P("2,1"))
     # orthogonal groups have no fallback at all
     with pytest.raises(StableRangeError):
         expect_trace_product(GroupSpec.so_even(1), P("1,1,1,1"))
@@ -154,8 +157,45 @@ def test_routes_agree(family):
 
 
 def test_twisted_below_stable_range_refused():
-    with pytest.raises(StableRangeError):
+    with pytest.raises(StableRangeError, match=r"holds from Sp\(4\) on.*mc-verify"):
         expect_twisted(GroupSpec.sp(1), P("1"), P("2,1"))
+
+
+# (family, |lam|, |gamma|) whose cells on SO(3), one rank below the
+# threshold, all keep the stable value: no one-row label shows the difference.
+_SILENT_BELOW_THRESHOLD = {(Family.SO_ODD, 5, 3), (Family.SO_ODD, 6, 4)}
+
+
+def _differs_from_stable(family, n, gamma, lam) -> bool:
+    stable = expect_twisted_route_b(GroupSpec.stable(family), gamma, lam)
+    want = stable * mirror_factor(family, n, gamma)
+    return abs(weyl_twisted_average(family, n, gamma.parts, lam.parts) - want) > 1e-8
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_closed_form_holds_exactly_where_the_torus_agrees(family):
+    """Against the Weyl-integration oracle at n <= 3 and |lam| <= 6: every
+    cell the predicate admits has the stable value, and one rank below each
+    threshold some cell differs, so the thresholds are tight."""
+    wrong = []
+    silent = set()
+    for k in range(1, 7):
+        for j in range(k + 1):
+            first = next(n for n in count(1) if GroupSpec(family, n).closed_form_holds(k, j))
+            for n in range(max(first - 1, 1), 4):
+                cells = [
+                    (gamma, lam)
+                    for gamma in partitions_of(j)
+                    if gamma.length <= n
+                    for lam in partitions_of(k)
+                ]
+                differ = [c for c in cells if _differs_from_stable(family, n, *c)]
+                if n >= first:
+                    wrong += [(n, *c) for c in differ]
+                elif not differ:
+                    silent.add((family, k, j))
+    assert not wrong, wrong[:5]
+    assert silent == {c for c in _SILENT_BELOW_THRESHOLD if c[0] is family}
 
 
 def test_label_longer_than_rank_refused(monkeypatch):

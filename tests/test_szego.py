@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from liemoments import expectations, szego
-from liemoments.errors import ConsistencyError, ResourceBoundError
+from liemoments.errors import ConsistencyError, ResourceBoundError, StableRangeError
 from liemoments.groups import Family, GroupSpec
 from liemoments.lr import branching_decomposition, schur_product
 from liemoments.partitions import Partition, partitions_of
@@ -243,8 +243,9 @@ def test_phi_series_trivial_cases():
 def test_phi_series_domain_errors(monkeypatch):
     G = GroupSpec.sp(3)
     f = FourierData({1: Fraction(1, 2)})
-    with pytest.raises(ValueError):
-        expect_phi_series(G, P(""), f, 4)  # cutoff above rank
+    # the term (tr g)^4 lies outside the closed form's range on Sp(2)
+    with pytest.raises(StableRangeError):
+        expect_phi_series(GroupSpec.sp(1), P(""), f, 4)
     with pytest.raises(ValueError):
         expect_phi_series(G, P(""), f, -1)
     with pytest.raises(ValueError):
