@@ -34,7 +34,7 @@ from .errors import (
     ResourceBoundError,
     StableRangeError,
 )
-from .expectations import expect_trace_product, expect_twisted, expect_twisted_route_a
+from .expectations import expect_twisted, expect_twisted_route_a
 from .groups import Family, GroupSpec
 from .lr import branching_decomposition, lr_coefficient
 from .matchings import fpf_involutions_lds, g_bruteforce, g_closed
@@ -122,43 +122,31 @@ def _rank_echo(G: GroupSpec):
 # command handlers
 
 
-def cmd_expect_trace(args) -> dict:
-    G = _parse_group(args.group, args.rank)
-    lam = Partition.parse(args.lam)
-    value = expect_trace_product(G, lam)
-    query = {
-        "command": "expect-trace",
-        "group": G.family.value,
-        "rank": _rank_echo(G),
-        "lambda": str(lam),
-    }
-    return _result(
-        query,
-        exact=value,
-        stable_range=G.closed_form_holds(lam.weight),
-        conventions=[_CONV_EXACT, _CONV_RANK],
-    )
-
-
 def cmd_expect_twisted(args) -> dict:
+    """Also the expect-trace handler: the plain average is the twisted one at
+    the empty label, and its query echoes neither gamma nor verified."""
+    twisted = args.command == "expect-twisted"
     G = _parse_group(args.group, args.rank)
-    gamma = Partition.parse(args.gamma)
+    gamma = Partition.parse(args.gamma) if twisted else Partition()
     lam = Partition.parse(args.lam)
-    value = expect_twisted(G, gamma, lam, verify=args.verify)
+    value = expect_twisted(G, gamma, lam, verify=twisted and args.verify)
     query = {
-        "command": "expect-twisted",
+        "command": args.command,
         "group": G.family.value,
         "rank": _rank_echo(G),
-        "gamma": str(gamma),
         "lambda": str(lam),
-        "verified": bool(args.verify),
     }
+    if twisted:
+        query.update(gamma=str(gamma), verified=bool(args.verify))
     return _result(
         query,
         exact=value,
         stable_range=G.closed_form_holds(lam.weight, gamma.weight),
         conventions=[_CONV_EXACT, _CONV_RANK],
     )
+
+
+cmd_expect_trace = cmd_expect_twisted
 
 
 def cmd_ratio(args) -> dict:
@@ -267,7 +255,8 @@ def cmd_g(args) -> dict:
                 "applies to all-ones partitions"
             )
         value = fpf_involutions_lds(lam.weight, bound)
-        stable_range = bound >= lam.weight
+        # the Sp case of GroupSpec.closed_form_holds at N = 2n
+        stable_range = bound >= lam.weight or lam.weight % 2 == 1
     else:
         raise ValueError(
             f"unknown method {args.method!r}; expected closed, brute or rains:N"
@@ -315,10 +304,7 @@ def cmd_mc_verify(args) -> dict:
             observable = TraceProductObservable(lam)
         # below the stable range there is no exact reference, only an estimate
         try:
-            if gamma is not None:
-                reference = expect_twisted(G, gamma, lam)
-            else:
-                reference = expect_trace_product(G, lam)
+            reference = expect_twisted(G, gamma or Partition(), lam)
         except StableRangeError:
             pass
 

@@ -19,9 +19,10 @@ No extra sign prefactors appear in either route: for Sp the even
 multiplicities of beta turn the matching count into its signed version, and
 route B inherits the sign through the plain average of the remainder.
 
-These closed forms hold exactly where `GroupSpec.closed_form_holds` says so;
-every route refuses the other cells with StableRangeError, and only the Sp
-all-ones average has an exact value below that range.
+These closed forms hold exactly where `GroupSpec.closed_form_holds` says so,
+and both routes refuse the other cells with StableRangeError.  `expect_twisted`
+is the one exact entry point; the plain average is its empty label.  Below
+the range it answers one cell, the Sp all-ones plain average.
 """
 
 from __future__ import annotations
@@ -52,21 +53,6 @@ def _plain_average_stable(family: Family, lam: Partition) -> int:
     if value and family.epsilon:
         value *= sgn(lam)
     return value
-
-
-def expect_trace_product(G: GroupSpec, lam: Partition) -> int:
-    """Exact average of prod_i tr(g^{lam_i}) over G.
-
-    Valid wherever `GroupSpec.closed_form_holds(|lam|, 0)`.  The one handled
-    exception below that range is Sp(2n) with lam = (1,...,1) and 2n < |lam|,
-    where the average of (tr g)^k counts fixed-point-free involutions with
-    longest decreasing subsequence at most 2n.
-    """
-    k = lam.weight
-    if not G.closed_form_holds(k) and G.family is Family.SP and lam.parts == (1,) * k:
-        return fpf_involutions_lds(k, 2 * G.rank)
-    _require_stable(G, k, 0)
-    return _plain_average_stable(G.family, lam)
 
 
 def expect_twisted_route_a(G: GroupSpec, gamma: Partition, lam: Partition) -> int:
@@ -115,9 +101,28 @@ def expect_twisted(
     (`mirror_factor`); for other labels the det twin has length
     2n - l(gamma) > n and averages to zero in the stable range.  At finite
     rank a label longer than the rank is refused (`check_label`).
+
+    The one cell answered below `GroupSpec.closed_form_holds` is Sp(2n),
+    gamma = 0, lam = (1,...,1) with 2n < |lam|: E[(tr g)^k] counts the
+    fixed-point-free involutions of k points whose longest decreasing
+    subsequence is at most 2n (Rains, Electron. J. Combin. 5, 1998, R12).
+    verify=True checks that scan against Rains' length-capped character
+    sum, chi_beta(lam) over the paired partitions beta with l(beta) <= 2n.
     """
     if not G.is_stable:
         check_label(gamma, G.rank)
+    k = lam.weight
+    if G.family is Family.SP and not (gamma or G.closed_form_holds(k)) and lam.parts == (1,) * k:
+        value = fpf_involutions_lds(k, G.matrix_size)
+        if verify:
+            paired = paired_partitions(G.family, k)
+            capped = sum(character_value(b, lam) for b in paired if b.length <= G.matrix_size)
+            if capped != value:
+                raise ConsistencyError(
+                    f"Sp all-ones routes disagree for {G}, lam={lam}: length-capped "
+                    f"character sum gives {capped}, involution scan {value}"
+                )
+        return value
     b = expect_twisted_route_b(G, gamma, lam)
     if verify:
         a = expect_twisted_route_a(G, gamma, lam)
@@ -127,3 +132,9 @@ def expect_twisted(
                 f"lam={lam}: Littlewood-Richardson sum gives {a}, splitting sum {b}"
             )
     return b * mirror_factor(G.family, G.rank, gamma)
+
+
+def expect_trace_product(G: GroupSpec, lam: Partition) -> int:
+    """Exact average of prod_i tr(g^{lam_i}) over G: `expect_twisted` at the
+    empty label, so it holds, and is refused, exactly where that does."""
+    return expect_twisted(G, Partition(), lam)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import liemoments
-from liemoments import characters, cli, matchings
+from liemoments import characters, cli, expectations, matchings
 from liemoments.cli import main
 from liemoments.errors import ConsistencyError
 from liemoments.groups import Family
@@ -69,6 +69,7 @@ _EXACT_ARGVS = [
     ["expect-trace", "--group", "sp", "--rank", "1", "--lambda", "2,2"],
     ["expect-twisted", "--group", "so-odd", "--rank", "3", "--gamma", "1", "--lambda", "2,1", "--verify"],
     ["expect-twisted", "--group", "sp", "--rank", "2", "--gamma", "1,1,1", "--lambda", "1,1"],
+    ["expect-twisted", "--group", "sp", "--rank", "1", "--gamma", "0", "--lambda", "1,1,1,1", "--verify"],
     ["ratio", "--gamma", "2,1", "--coeffs", "c1=1/2,c2=1/3", "--verify"],
     ["ratio", "--gamma", "2", "--coeffs", "c1=0.3,c2=-0.1"],
     ["asymptotics", "--family", "so-even", "--gamma", "1", "--coeffs", "c1=0.3"],
@@ -231,15 +232,36 @@ def test_g_methods(capsys):
 
 def test_stable_range_flags_agree_on_sp_all_ones(capsys):
     """expect-trace over Sp(2n) and g's rains:2n count the same involutions,
-    and both flag the closed form's range the same way."""
+    and both flag the closed form's range the same way: odd weights average
+    to zero at every rank, inside the range."""
     for n in range(1, 5):
-        for k in (2, 4, 6, 8):
+        for k in range(1, 9):
             lam = ",".join(["1"] * k)
             trace = run_json(["expect-trace", "--group", "sp", "--rank", str(n), "--lambda", lam], capsys)
             rains = run_json(["g", "--lambda", lam, "--method", f"rains:{2 * n}"], capsys)
             assert trace["exact"] == rains["exact"], (n, k)
             flags = [doc["metadata"]["stable_range"] for doc in (trace, rains)]
-            assert flags[0] == flags[1] == (2 * n >= k), (n, k)
+            assert flags[0] == flags[1] == (2 * n >= k or k % 2 == 1), (n, k)
+
+
+EXPECT_TWISTED_SP2_ONES = [
+    "expect-twisted", "--group", "sp", "--rank", "1", "--gamma", "0", "--lambda", "1,1,1,1", "--verify",
+]
+
+
+def test_expect_twisted_answers_the_involution_count(capsys):
+    doc = run_json(EXPECT_TWISTED_SP2_ONES, capsys)
+    assert doc["exact"] == {"numerator": "2", "denominator": "1"}
+    assert doc["metadata"]["stable_range"] is False
+    assert doc["query"]["verified"] is True
+
+
+def test_expect_twisted_verify_catches_a_wrong_involution_count(capsys, monkeypatch):
+    scan = expectations.fpf_involutions_lds
+    monkeypatch.setattr(expectations, "fpf_involutions_lds", lambda k, bound: scan(k, bound) + 1)
+    code, out, err = run_cli(EXPECT_TWISTED_SP2_ONES, capsys)
+    assert code == 4 and out == ""
+    assert "involution scan 3" in err
 
 
 def test_mc_verify_references_a_cell_below_the_old_rank_rule(capsys):
@@ -282,13 +304,20 @@ def test_mc_verify_reports_z(capsys):
 def test_mc_verify_disagrees_with_wrong_reference(capsys, monkeypatch):
     # the true value is 2; a reference of 3 sits about 20 stderr away
     monkeypatch.setattr(
-        "liemoments.cli.expect_trace_product", lambda G, lam: Fraction(3)
+        "liemoments.cli.expect_twisted", lambda G, gamma, lam: Fraction(3)
     )
     code, out, _ = run_cli(MC_VERIFY_SP2, capsys)
     assert code == 0
     mc = json.loads(out)["mc"]
     assert mc["z"] < -4
     assert mc["agree"] is False
+
+
+def test_mc_verify_twisted_at_the_empty_label_has_a_reference(capsys):
+    doc = run_json(MC_VERIFY_SP2 + ["--gamma", "0"], capsys)
+    assert doc["exact"] == {"numerator": "2", "denominator": "1"}
+    assert doc["metadata"]["stable_range"] is False
+    assert abs(doc["mc"]["z"]) < 6 and doc["mc"]["agree"] is True
 
 
 def test_mc_verify_phi_has_no_reference(capsys):

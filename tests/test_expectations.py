@@ -6,7 +6,7 @@ import pytest
 from oracles import weyl_twisted_average
 
 from liemoments import expectations
-from liemoments.errors import StableRangeError
+from liemoments.errors import ConsistencyError, StableRangeError
 from liemoments.expectations import (
     expect_trace_product,
     expect_twisted,
@@ -90,6 +90,52 @@ def test_rains_branch_values():
     assert expect_trace_product(GroupSpec.sp(1), P("1,1,1")) == 0
     assert expect_trace_product(GroupSpec.sp(2), Partition([1] * 6)) == 14
     assert expect_trace_product(GroupSpec.sp(3), Partition([1] * 6)) == 15
+
+
+def _average_or_refusal(average, *args, **kwargs):
+    try:
+        return average(*args, **kwargs)
+    except StableRangeError:
+        return StableRangeError
+
+
+def test_entry_points_agree_on_every_cell():
+    """The plain average is the twisted one at the empty label, also below
+    the range, where the Sp all-ones cells answer and every other refuses."""
+    for family in Family:
+        for n in (1, 2, 3, None):
+            G = GroupSpec(family, n)
+            for k in range(9):
+                for lam in partitions_of(k):
+                    plain = _average_or_refusal(expect_trace_product, G, lam)
+                    twisted = _average_or_refusal(expect_twisted, G, P(""), lam, verify=True)
+                    assert plain == twisted, (G, lam)
+
+
+# (n, k): the Sp(2n) all-ones cells below the closed form's range, n <= 3, k <= 8
+_INVOLUTION_CELLS = [(1, 4), (1, 6), (1, 8), (2, 6), (2, 8), (3, 8)]
+
+
+def test_involution_cells_match_the_torus():
+    below = [
+        (n, k)
+        for n in range(1, 4)
+        for k in range(0, 9, 2)
+        if not GroupSpec.sp(n).closed_form_holds(k)
+    ]
+    assert below == _INVOLUTION_CELLS
+    for n, k in below:
+        value = expect_twisted(GroupSpec.sp(n), P(""), Partition([1] * k), verify=True)
+        assert abs(weyl_twisted_average(Family.SP, n, (), (1,) * k) - value) <= 1e-8, (n, k)
+
+
+def test_involution_count_is_checked_under_verify(monkeypatch):
+    G, lam = GroupSpec.sp(1), P("1,1,1,1")
+    scan = expectations.fpf_involutions_lds
+    monkeypatch.setattr(expectations, "fpf_involutions_lds", lambda k, bound: scan(k, bound) + 1)
+    assert expect_twisted(G, P(""), lam) == 3
+    with pytest.raises(ConsistencyError, match="involution scan 3"):
+        expect_twisted(G, P(""), lam, verify=True)
 
 
 def test_twisted_hand_values():

@@ -84,6 +84,24 @@ def test_twisted_estimate_matches_exact():
     assert abs(e.mean - 1.0) < 5 * e.stderr
 
 
+@pytest.mark.parametrize(
+    "G, lam",
+    [(GroupSpec.sp(1), P("1,1,1,1")), (GroupSpec.so_even(4), P("2,2"))],
+    ids=["sp2-below-range", "so8"],
+)
+def test_z_scores_are_calibrated(G, lam):
+    """Over 100 seeds the z-scores against the exact value have mean 0 and
+    standard deviation 1: the bounds are 4 standard errors of 100 draws,
+    0.1 for the mean and about 0.07 for the deviation."""
+    exact = float(expectations.expect_trace_product(G, lam))
+    z = []
+    for seed in range(100):
+        e = estimate(G, TraceProductObservable(lam), 1000, seed, threads=1)
+        z.append((e.mean - exact) / e.stderr)
+    assert abs(np.mean(z)) <= 0.4
+    assert 0.72 <= np.std(z, ddof=1) <= 1.28
+
+
 def test_estimate_many_equals_single():
     # shared draws: joint run must reproduce the single-observable runs
     # bit for bit when the observables need the same trace powers

@@ -243,9 +243,10 @@ def test_phi_series_trivial_cases():
 def test_phi_series_domain_errors(monkeypatch):
     G = GroupSpec.sp(3)
     f = FourierData({1: Fraction(1, 2)})
-    # the term (tr g)^4 lies outside the closed form's range on Sp(2)
+    # on Sp(2) the weight-4 terms p_(2,2) and p_(2,1,1) lie outside the
+    # closed form's range, and only the all-ones term has a value there
     with pytest.raises(StableRangeError):
-        expect_phi_series(GroupSpec.sp(1), P(""), f, 4)
+        expect_phi_series(GroupSpec.sp(1), P(""), FourierData({1: Fraction(1, 2), 2: Fraction(1, 3)}), 4)
     with pytest.raises(ValueError):
         expect_phi_series(G, P(""), f, -1)
     with pytest.raises(ValueError):
@@ -258,6 +259,14 @@ def test_phi_series_domain_errors(monkeypatch):
     monkeypatch.setattr(expectations, "expect_twisted_route_b", no_route)
     with pytest.raises(ValueError, match="longer than the rank"):
         expect_phi_series(GroupSpec.sp(2), P("1,1,1"), f, 2)
+
+
+def test_phi_series_takes_the_involution_count_below_the_range():
+    # E over Sp(2) of (tr g)^w is 1, 0, 1, 0, 2 for w = 0..4, so the series
+    # of exp(tr g / 2) cut at weight 4 is 1 + 1/8 + 2/(16 * 24) = 217/192
+    value, tail = expect_phi_series(GroupSpec.sp(1), P(""), FourierData({1: Fraction(1, 2)}), 4)
+    assert value == Fraction(217, 192)
+    assert tail == pytest.approx(math.e - sum(1 / math.factorial(w) for w in range(5)))
 
 
 def test_phi_coefficients_list_supported_partitions_in_canonical_order():
