@@ -5,9 +5,9 @@ same document by two spaces.  Exact results are reduced fractions carried
 as decimal strings, so output is byte-stable across runs and platforms:
 keys are sorted, separators fixed, and the metadata block contains no
 host-specific data.  Exit codes: 2 for parse or domain errors and for
-results that overflow or are not finite in floating point, 3 for queries
-outside the stable range (with a pointer to mc-verify), 4 for internal
-consistency faults.
+results that overflow or are not finite in floating point, 3 for
+`expect-twisted --verify` with a nonempty label below the stable range,
+where only one exact route exists, 4 for internal consistency faults.
 
 Flags are the only input.  Each command accepts just the flags it reads,
 plus `--pretty`, so a flag given to any other command is a parse error:
@@ -34,10 +34,10 @@ from .errors import (
     ResourceBoundError,
     StableRangeError,
 )
-from .expectations import expect_twisted, expect_twisted_route_a
+from .expectations import expect_twisted, expect_twisted_route_a, rains_short_label_sum
 from .groups import Family, GroupSpec
 from .lr import branching_decomposition, lr_coefficient
-from .matchings import fpf_involutions_lds, g_bruteforce, g_closed
+from .matchings import g_bruteforce, g_closed
 from .partitions import Partition, partitions_of, sgn
 from .szego import FourierData, SchurSpecialization, johansson_limit, twisted_asymptotic
 
@@ -254,7 +254,9 @@ def cmd_g(args) -> dict:
                 "the rains method counts fixed-point-free involutions and only "
                 "applies to all-ones partitions"
             )
-        value = fpf_involutions_lds(lam.weight, bound)
+        if bound < 1:
+            raise ValueError(f"rains bound must be positive, got {bound}")
+        value = rains_short_label_sum(Family.SP, bound, lam)
         # the Sp case of GroupSpec.closed_form_holds at N = 2n
         stable_range = bound >= lam.weight or lam.weight % 2 == 1
     else:
@@ -302,11 +304,7 @@ def cmd_mc_verify(args) -> dict:
             observable = TwistedObservable(gamma, lam)
         else:
             observable = TraceProductObservable(lam)
-        # below the stable range there is no exact reference, only an estimate
-        try:
-            reference = expect_twisted(G, gamma or Partition(), lam)
-        except StableRangeError:
-            pass
+        reference = expect_twisted(G, gamma or Partition(), lam)
 
     query["samples"] = args.samples
     query["seed"] = args.seed
@@ -514,8 +512,7 @@ def main(argv=None) -> int:
     except StableRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(
-            "suggestion: use 'liemoments mc-verify' with a finite rank to estimate "
-            "below-stable-range averages",
+            "suggestion: drop --verify, or check the value with 'liemoments mc-verify'",
             file=sys.stderr,
         )
         return 3

@@ -18,13 +18,12 @@ class ResourceBoundError(LieMomentsError):
 
 
 class StableRangeError(LieMomentsError):
-    """An exact formula was requested outside the rank range where it is valid.
+    """A second exact route was requested where only one exists.
 
-    The closed-form group averages hold only where
-    `GroupSpec.closed_form_holds` says so, a matrix size set by the weights
-    of the trace product and of the twisting label.  Below that range the
-    correct value generally differs, so we refuse rather than silently
-    return the stable answer.
+    Below the range of `GroupSpec.closed_form_holds` King's rule gives
+    every average exactly, but at a nonempty label nothing checks it, so
+    verification refuses rather than report an unchecked value as verified.
+    Route B, the splitting sum, refuses every cell below the range.
     """
 
 

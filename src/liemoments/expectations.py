@@ -19,22 +19,24 @@ No extra sign prefactors appear in either route: for Sp the even
 multiplicities of beta turn the matching count into its signed version, and
 route B inherits the sign through the plain average of the remainder.
 
-These closed forms hold exactly where `GroupSpec.closed_form_holds` says so,
-and both routes refuse the other cells with StableRangeError.  `expect_twisted`
-is the one exact entry point; the plain average is its empty label.  Below
-the range it answers one cell, the Sp all-ones plain average.
+These closed forms hold where `GroupSpec.closed_form_holds` says so, and
+route B refuses the other cells with StableRangeError.  Route A holds at
+every rank once King's modification rule folds each universal label of its
+sum and nu is cut at the matrix size.  `expect_twisted` is the one exact
+entry point; the plain average is its empty label.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import count
 
 from .characters import character_value
 from .errors import ConsistencyError, StableRangeError
 from .groups import Family, GroupSpec, check_label, mirror_factor
 from .lr import paired_partitions, schur_product
-from .matchings import fpf_involutions_lds, g_closed
-from .partitions import Partition, sgn, sub_splittings
+from .matchings import g_closed
+from .partitions import Partition, partitions_of, sgn, sub_splittings
 
 
 def _require_stable(G: GroupSpec, k: int, j: int) -> None:
@@ -43,8 +45,8 @@ def _require_stable(G: GroupSpec, k: int, j: int) -> None:
         first = next(H for H in ranks if H.closed_form_holds(k, j))
         raise StableRangeError(
             f"{G} is below the stable range of this observable (|lambda| = {k}, "
-            f"|gamma| = {j}): its closed form holds from {first} on. "
-            "Use the Monte Carlo verifier (mc-verify) in this regime."
+            f"|gamma| = {j}): its closed form holds from {first} on; "
+            "route A folds by King's rule there."
         )
 
 
@@ -55,19 +57,75 @@ def _plain_average_stable(family: Family, lam: Partition) -> int:
     return value
 
 
+def _king_rule(family: Family, m: int, delta: Partition) -> tuple[int, Partition]:
+    """King's modification rule (J. Phys. A 4, 1971; Koike and Terada,
+    J. Algebra 107, 1987): the universal character labeled delta equals
+    sign * chi_label on the group of matrix size m, with sign 0 when it
+    vanishes.  While 2 l(delta) > m, a boundary strip of length
+    h = 2l - m - 2 (Sp) or 2l - m (O) leaves from the foot of the first
+    column: it exists iff some first-column beta number equals h, and it
+    spans c columns for the sign (-1)^c (Sp) or (-1)^(c-1) (O, where the
+    det factor is invisible on SO)."""
+    parts, sign = delta.parts, 1
+    while 2 * len(parts) > m:
+        ell = len(parts)
+        h = 2 * ell - m - 2 * family.epsilon
+        beta = [p + ell - 1 - i for i, p in enumerate(parts)]
+        if h not in beta:
+            return 0, delta
+        i = beta.index(h)
+        c = h - (ell - 1 - i)
+        sign *= (-1) ** (c if family is Family.SP else c - 1)
+        del beta[i]
+        parts = Partition(b - (ell - 1 - j) for j, b in enumerate(beta)).parts
+    return sign, Partition(parts)
+
+
+@lru_cache(maxsize=None)
+def _multiplicities(family: Family, m: int | None, gamma: Partition, k: int) -> tuple:
+    """Coefficient of chi_gamma in each s_nu with |nu| = k, restricted to the
+    group of matrix size m: sum of c^nu_{delta, beta} over the paired
+    partitions beta and the universal labels delta that King's rule turns
+    into +-gamma, and nu only up to m rows.  m = None is the stable group,
+    where delta is gamma itself."""
+    if m is None:
+        labels = [(1, gamma)] if gamma.weight <= k else []
+    else:
+        labels = []
+        for w in range(k % 2, k + 1, 2):
+            for delta in partitions_of(w):
+                sign, label = _king_rule(family, m, delta)
+                if sign and label == gamma:
+                    labels.append((sign, delta))
+    mult: dict[Partition, int] = {}
+    for sign, delta in labels:
+        for beta in paired_partitions(family, k - delta.weight):
+            for nu, c in schur_product(delta, beta).items():
+                if m is None or nu.length <= m:
+                    mult[nu] = mult.get(nu, 0) + sign * c
+    return tuple((nu, c) for nu, c in mult.items() if c)
+
+
 def expect_twisted_route_a(G: GroupSpec, gamma: Partition, lam: Partition) -> int:
     """Twisted average via the Littlewood-Richardson restriction of the
-    Schur expansion of p_lam."""
+    Schur expansion of p_lam, with King's rule below the closed form's
+    range, so it holds at every rank."""
     k = lam.weight
-    j = gamma.weight
-    _require_stable(G, k, j)
-    if j > k or (k - j) % 2:
-        return 0
-    total = 0
-    for beta in paired_partitions(G.family, k - j):
-        for nu, c in schur_product(gamma, beta).items():
-            total += c * character_value(nu, lam)
-    return total
+    m = None if G.closed_form_holds(k, gamma.weight) else G.matrix_size
+    return sum(c * character_value(nu, lam) for nu, c in _multiplicities(G.family, m, gamma, k))
+
+
+def rains_short_label_sum(family: Family, m: int, lam: Partition) -> int:
+    """E[p_lam] over Sp(m) or SO(m), Rains' short-label sum (Electron. J.
+    Combin. 5, 1998, R12): chi_beta(lam) over the paired beta with l(beta) <= m,
+    and on SO over beta with l(beta) = m and odd parts (the det term).  At
+    lam = 1^k on Sp it counts the fixed-point-free involutions of k points
+    with no decreasing subsequence longer than m."""
+    k = lam.weight
+    labels = [b for b in paired_partitions(family, k) if b.length <= m]
+    if family is not Family.SP:
+        labels += [b for b in partitions_of(k) if b.length == m and all(p % 2 for p in b)]
+    return sum(character_value(b, lam) for b in labels)
 
 
 def expect_twisted_route_b(G: GroupSpec, gamma: Partition, lam: Partition) -> int:
@@ -92,49 +150,44 @@ def expect_twisted(
 ) -> int:
     """Twisted average of chi^G_gamma(g) * prod_i tr(g^{lam_i}) over G.
 
-    Route B is the production path; verify=True recomputes through route A
-    and raises ConsistencyError on any disagreement.
+    Inside `GroupSpec.closed_form_holds` route B is the production path, and
+    verify=True recomputes through route A.  Below it route A, with King's
+    rule, is the one exact route; verify=True then checks it against Rains'
+    short-label sum at gamma = 0 and raises StableRangeError for any other
+    label, which has no second route.  A disagreement raises
+    ConsistencyError.
 
     On SO(2n) both routes average the O(2n) character.  For a full-length
     label that is the mirror sum, which det maps to itself, so the SO(2n)
     average E_O[chi p] + E_O[det chi p] is twice the routes' value
     (`mirror_factor`); for other labels the det twin has length
-    2n - l(gamma) > n and averages to zero in the stable range.  At finite
-    rank a label longer than the rank is refused (`check_label`).
-
-    The one cell answered below `GroupSpec.closed_form_holds` is Sp(2n),
-    gamma = 0, lam = (1,...,1) with 2n < |lam|: E[(tr g)^k] counts the
-    fixed-point-free involutions of k points whose longest decreasing
-    subsequence is at most 2n (Rains, Electron. J. Combin. 5, 1998, R12).
-    verify=True checks that scan against Rains' length-capped character
-    sum, chi_beta(lam) over the paired partitions beta with l(beta) <= 2n.
+    2n - l(gamma) > n and averages to zero.  At finite rank a label longer
+    than the rank is refused (`check_label`).
     """
     if not G.is_stable:
         check_label(gamma, G.rank)
-    k = lam.weight
-    if G.family is Family.SP and not (gamma or G.closed_form_holds(k)) and lam.parts == (1,) * k:
-        value = fpf_involutions_lds(k, G.matrix_size)
-        if verify:
-            paired = paired_partitions(G.family, k)
-            capped = sum(character_value(b, lam) for b in paired if b.length <= G.matrix_size)
-            if capped != value:
-                raise ConsistencyError(
-                    f"Sp all-ones routes disagree for {G}, lam={lam}: length-capped "
-                    f"character sum gives {capped}, involution scan {value}"
-                )
-        return value
-    b = expect_twisted_route_b(G, gamma, lam)
-    if verify:
-        a = expect_twisted_route_a(G, gamma, lam)
-        if a != b:
-            raise ConsistencyError(
-                f"twisted-average routes disagree for {G}, gamma={gamma}, "
-                f"lam={lam}: Littlewood-Richardson sum gives {a}, splitting sum {b}"
+    if G.closed_form_holds(lam.weight, gamma.weight):
+        value = expect_twisted_route_b(G, gamma, lam)
+        other = expect_twisted_route_a(G, gamma, lam) if verify else value
+        names = "Littlewood-Richardson sum", "splitting sum"
+    else:
+        if verify and gamma:
+            raise StableRangeError(
+                f"{G} is below the stable range of gamma={gamma}, lam={lam}, where "
+                "King's rule is the only exact route: drop verify to use it alone"
             )
-    return b * mirror_factor(G.family, G.rank, gamma)
+        value = expect_twisted_route_a(G, gamma, lam)
+        other = rains_short_label_sum(G.family, G.matrix_size, lam) if verify else value
+        names = "short-label sum", "King's rule"
+    if other != value:
+        raise ConsistencyError(
+            f"twisted-average routes disagree for {G}, gamma={gamma}, "
+            f"lam={lam}: {names[0]} gives {other}, {names[1]} {value}"
+        )
+    return value * mirror_factor(G.family, G.rank, gamma)
 
 
 def expect_trace_product(G: GroupSpec, lam: Partition) -> int:
     """Exact average of prod_i tr(g^{lam_i}) over G: `expect_twisted` at the
-    empty label, so it holds, and is refused, exactly where that does."""
+    empty label."""
     return expect_twisted(G, Partition(), lam)

@@ -103,9 +103,10 @@ def branching_decomposition(lam: Partition, family: Family) -> BranchingTarget:
     the symplectic or orthogonal subgroup, as Littlewood-Richardson sums.
 
     The multiplicity of mu is the sum of c^lam_{beta, mu} over beta in
-    `paired_partitions`.  Valid verbatim when the group rank is at least
-    |lam|; below that the target labels need folding, which is out of scope
-    here.
+    `paired_partitions`: the universal labels mu, valid verbatim when the
+    group rank is at least |lam|.  Below that a label longer than the rank
+    is folded by King's modification rule, as route A of `expectations`
+    does.
     """
     k = lam.weight
     coeffs: dict[Partition, int] = {}

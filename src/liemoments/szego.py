@@ -243,9 +243,8 @@ def expect_phi_series(
     rigorous tail bound.
 
     The value is e^{n c0} * sum over supported lam with |lam| <= W of
-    (prod c_i^{mult}/mult!) times the exact twisted average.  A retained
-    term that `expect_twisted` refuses raises StableRangeError; every cutoff
-    W <= n is inside the range of `GroupSpec.closed_form_holds`.
+    (prod c_i^{mult}/mult!) times the exact twisted average, which
+    `expect_twisted` gives at every rank.
     The tail bound uses |tr g^i| <= m (matrix size) and |chi_gamma| <= its
     dimension, so it is conservative but honest:
     dim * e^{n c0} * (exp(m * sum|c_i|) - sum of retained m^{l(lam)} *

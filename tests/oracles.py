@@ -10,7 +10,9 @@ matrix products instead of split products, per-sample random
 streams from a Generator built afresh for each sample, and Haar averages
 from the Weyl integration formula on the maximal torus, with the even
 orthogonal mirror sum taken as an elementary symmetric function of the
-eigenvalues instead of a ratio of Weyl determinants.
+eigenvalues instead of a ratio of Weyl determinants, and characters at
+labels longer than the rank from the Koike-Terada determinants instead of
+King's modification rule.
 """
 
 from __future__ import annotations
@@ -298,6 +300,18 @@ def weyl_twisted_average(
     points = 2 * n + sum(lam) + (gamma[0] if gamma else 0) + 3
     grid = 2 * np.pi * np.arange(points) / points
     theta = np.meshgrid(*[grid] * n, indexing="ij", sparse=True)
+    num, den = _weyl_alternants(family, n, gamma, theta)
+    value = num * den
+    fixed = 1.0 if family is Family.SO_ODD else 0.0
+    for k in lam:
+        value = value * (fixed + sum(2.0 * np.cos(k * t) for t in theta))
+    mirror = 2 if family is Family.SO_EVEN and len(gamma) == n else 1
+    return mirror * float(value.sum() / (den * den).sum())
+
+
+def _weyl_alternants(family: Family, n: int, gamma: tuple[int, ...], theta):
+    """The Weyl determinants (num, den) of `weyl_twisted_average` at the
+    angles theta, one array or number per angle."""
     shift = {Family.SP: 1.0, Family.SO_ODD: 0.5, Family.SO_EVEN: 0.0}[family]
     rho = [n - 1 - j + shift for j in range(n)]
     trig = np.cos if family is Family.SO_EVEN else np.sin
@@ -312,11 +326,44 @@ def weyl_twisted_average(
         return total
 
     parts = list(gamma) + [0] * (n - len(gamma))
-    num = alternant([p + r for p, r in zip(parts, rho)])
-    den = alternant(rho)
-    value = num * den
-    fixed = 1.0 if family is Family.SO_ODD else 0.0
-    for k in lam:
-        value = value * (fixed + sum(2.0 * np.cos(k * t) for t in theta))
+    return alternant([p + r for p, r in zip(parts, rho)]), alternant(rho)
+
+
+def weyl_character(family: Family, n: int, gamma: tuple[int, ...], theta) -> float:
+    """Character of the label gamma, l(gamma) <= n, at the torus angles
+    theta: num / den of `weyl_twisted_average`, doubled on SO(2n) for a
+    full-length label, so that it is the O(2n) character restricted."""
+    num, den = _weyl_alternants(family, n, gamma, theta)
     mirror = 2 if family is Family.SO_EVEN and len(gamma) == n else 1
-    return mirror * float(value.sum() / (den * den).sum())
+    return mirror * num / den
+
+
+def koike_terada_character(family: Family, n: int, delta: tuple[int, ...], theta) -> complex:
+    """Universal character of the label delta, of any length, at the torus
+    angles theta of the group of rank n, by the Koike-Terada determinants
+    (J. Algebra 107, 1987) in the complete symmetric functions h_k of the
+    eigenvalues e^{+-i theta_j} (and 1 on SO(2n+1)):
+    sp_delta = det(h_{d_i - i + 1} | h_{d_i - i + j} + h_{d_i - i - j + 2})
+    and o_delta = det(h_{d_i - i + j} - h_{d_i - i - j}), i, j = 1..l."""
+    eigen = [np.exp(s * 1j * t) for t in theta for s in (1, -1)]
+    eigen += [1.0] if family is Family.SO_ODD else []
+    ell = len(delta)
+    top = (delta[0] if delta else 0) + ell
+    h = np.zeros(top + 1, dtype=complex)
+    h[0] = 1.0
+    for x in eigen:  # times 1 / (1 - x t), one eigenvalue at a time
+        for d in range(1, top + 1):
+            h[d] += x * h[d - 1]
+
+    def hk(d):
+        return h[d] if 0 <= d <= top else 0.0
+
+    mat = np.empty((ell, ell), dtype=complex)
+    for i in range(ell):
+        a = delta[i] - i - 1  # d_i - i, 1-based i
+        for j in range(ell):
+            if family is Family.SP:
+                mat[i, j] = hk(a + 1) if j == 0 else hk(a + j + 1) + hk(a - j + 1)
+            else:
+                mat[i, j] = hk(a + j + 1) - hk(a - j - 1)
+    return complex(np.linalg.det(mat)) if ell else 1.0

@@ -178,11 +178,31 @@ def test_c06_below_stable_range_involution_count(capsys):
     exact = expect_trace_product(G, lam)
     est = estimate(G, TraceProductObservable(lam), 200_000, seed=31)
     mc_ok = abs(est.mean - 2.0) <= 4 * est.stderr
-    ok = exact == 2 and mc_ok
-    report(capsys, 6,  "below-stable-range fourth moment via involution count", ok,
-           f"exact {exact}, mc {est.mean:.4f}+-{est.stderr:.4f}")
+    # King's rule below the range, on cells whose values differ from the
+    # stable ones (3, 3, 0 and 1)
+    cells = [
+        (GroupSpec.sp(1), P("1"), P("1,1,1"), 2),
+        (GroupSpec.so_even(2), P("1"), P("1,1,1"), 4),
+        (GroupSpec.so_odd(2), P("1,1"), P("1,1,1"), 1),
+        (GroupSpec.so_even(1), P(""), P("1,1"), 2),
+    ]
+    bad = []
+    details = [f"Sp(2) p(1^4) exact {exact}, mc {est.mean:.4f}+-{est.stderr:.4f}"]
+    for H, gamma, mu, want in cells:
+        value = expect_twisted(H, gamma, mu)
+        stable = expect_twisted(GroupSpec.stable(H.family), gamma, mu)
+        obs = TwistedObservable(gamma, mu) if gamma else TraceProductObservable(mu)
+        cell = estimate(H, obs, 100_000, seed=13)
+        z = (cell.mean - value) / cell.stderr
+        if value != want or value == stable or abs(z) > 4:
+            bad.append((str(H), str(gamma), str(mu), value, stable, z))
+        details.append(f"{H} exact {value}, z {z:+.2f}")
+    ok = exact == 2 and mc_ok and not bad
+    report(capsys, 6,  "below-stable-range averages by King's rule, against Monte Carlo", ok,
+           "; ".join(details))
     assert exact == 2
     assert mc_ok
+    assert not bad, bad
 
 
 def test_c07_exponential_average_convergence(capsys):

@@ -60,9 +60,9 @@ def test_console_script_matches_in_process(capsys):
     assert proc.stdout == inproc
 
 
-# Every exact command, with one refusal (exit 2), one query below the stable
-# range (exit 3) and two char-table runs that read the cache directory from
-# the environment.
+# Every exact command, with one refusal (exit 2), one verify below the stable
+# range of a twisted label (exit 3) and two char-table runs that read the
+# cache directory from the environment.
 _EXACT_ARGVS = [
     ["expect-trace", "--group", "sp", "--lambda", "2,1,1"],
     ["expect-trace", "--group", "sp", "--rank", "1", "--lambda", "1,1,1,1"],
@@ -70,6 +70,7 @@ _EXACT_ARGVS = [
     ["expect-twisted", "--group", "so-odd", "--rank", "3", "--gamma", "1", "--lambda", "2,1", "--verify"],
     ["expect-twisted", "--group", "sp", "--rank", "2", "--gamma", "1,1,1", "--lambda", "1,1"],
     ["expect-twisted", "--group", "sp", "--rank", "1", "--gamma", "0", "--lambda", "1,1,1,1", "--verify"],
+    ["expect-twisted", "--group", "sp", "--rank", "1", "--gamma", "1", "--lambda", "2,1", "--verify"],
     ["ratio", "--gamma", "2,1", "--coeffs", "c1=1/2,c2=1/3", "--verify"],
     ["ratio", "--gamma", "2", "--coeffs", "c1=0.3,c2=-0.1"],
     ["asymptotics", "--family", "so-even", "--gamma", "1", "--coeffs", "c1=0.3"],
@@ -230,6 +231,27 @@ def test_g_methods(capsys):
     assert doc["metadata"]["stable_range"] is True
 
 
+def test_g_rains_answers_beyond_the_involution_scan(capsys):
+    # the short-label sum has no scan bound: at N >= k it is (k - 1)!!, and
+    # at N = 2 the Catalan number C_{k/2}
+    doc = run_json(["g", "--lambda", ",".join(["1"] * 16), "--method", "rains:16"], capsys)
+    assert doc["exact"] == {"numerator": "2027025", "denominator": "1"}
+    assert doc["metadata"]["stable_range"] is True
+    doc = run_json(["g", "--lambda", ",".join(["1"] * 16), "--method", "rains:2"], capsys)
+    assert doc["exact"] == {"numerator": "1430", "denominator": "1"}
+
+
+def test_mc_verify_references_cells_below_the_range(capsys):
+    # SO(2) p_(1,1) is 2 there, not the stable 1
+    doc = run_json(
+        ["mc-verify", "--group", "so-even", "--n", "1", "--lambda", "1,1", "--samples", "2000", "--seed", "1"],
+        capsys,
+    )
+    assert doc["exact"] == {"numerator": "2", "denominator": "1"}
+    assert doc["metadata"]["stable_range"] is False
+    assert doc["mc"]["agree"] is True
+
+
 def test_stable_range_flags_agree_on_sp_all_ones(capsys):
     """expect-trace over Sp(2n) and g's rains:2n count the same involutions,
     and both flag the closed form's range the same way: odd weights average
@@ -257,11 +279,11 @@ def test_expect_twisted_answers_the_involution_count(capsys):
 
 
 def test_expect_twisted_verify_catches_a_wrong_involution_count(capsys, monkeypatch):
-    scan = expectations.fpf_involutions_lds
-    monkeypatch.setattr(expectations, "fpf_involutions_lds", lambda k, bound: scan(k, bound) + 1)
+    short = expectations.rains_short_label_sum
+    monkeypatch.setattr(expectations, "rains_short_label_sum", lambda *a: short(*a) + 1)
     code, out, err = run_cli(EXPECT_TWISTED_SP2_ONES, capsys)
     assert code == 4 and out == ""
-    assert "involution scan 3" in err
+    assert "short-label sum gives 3, King's rule 2" in err
 
 
 def test_mc_verify_references_a_cell_below_the_old_rank_rule(capsys):
@@ -484,12 +506,15 @@ def test_bad_coeffs_exit_2_with_empty_stdout(argv, coeffs, capsys):
 
 
 def test_exit_code_3_below_stable_range(capsys):
-    code, _, err = run_cli(
-        ["expect-trace", "--group", "sp", "--rank", "1", "--lambda", "2,2"],
-        capsys,
-    )
-    assert code == 3
-    assert "mc-verify" in err
+    # only --verify with a nonempty label below the range exits 3: King's
+    # rule is the one exact route there; without --verify the cell answers
+    argv = ["expect-twisted", "--group", "sp", "--rank", "1", "--gamma", "1", "--lambda", "2,1"]
+    code, out, err = run_cli(argv + ["--verify"], capsys)
+    assert code == 3 and out == ""
+    assert "only exact route" in err and "mc-verify" in err
+    assert run_json(argv, capsys)["exact"] == {"numerator": "0", "denominator": "1"}
+    doc = run_json(["expect-trace", "--group", "sp", "--rank", "1", "--lambda", "2,2"], capsys)
+    assert doc["exact"] == {"numerator": "2", "denominator": "1"}
 
 
 def test_exit_code_4_on_consistency_fault(capsys, monkeypatch):

@@ -3,7 +3,8 @@ from __future__ import annotations
 from itertools import count
 
 import pytest
-from oracles import weyl_twisted_average
+import numpy as np
+from oracles import koike_terada_character, weyl_character, weyl_twisted_average
 
 from liemoments import expectations
 from liemoments.errors import ConsistencyError, StableRangeError
@@ -12,9 +13,10 @@ from liemoments.expectations import (
     expect_twisted,
     expect_twisted_route_a,
     expect_twisted_route_b,
+    rains_short_label_sum,
 )
 from liemoments.groups import Family, GroupSpec, mirror_factor
-from liemoments.matchings import double_factorial
+from liemoments.matchings import double_factorial, fpf_involutions_lds
 from liemoments.partitions import Partition, partitions_of
 
 P = Partition.parse
@@ -73,13 +75,17 @@ def test_finite_rank_in_stable_range_matches_stable():
 
 
 def test_below_stable_range_refused():
-    with pytest.raises(StableRangeError):
-        expect_trace_product(GroupSpec.sp(1), P("2,2"))
-    with pytest.raises(StableRangeError):
-        expect_trace_product(GroupSpec.so_odd(1), P("2,1"))
-    # orthogonal groups have no fallback at all
-    with pytest.raises(StableRangeError):
-        expect_trace_product(GroupSpec.so_even(1), P("1,1,1,1"))
+    # route B refuses these cells; the entry point answers them through
+    # King's rule, values from the Weyl-integration oracle
+    cells = [
+        (GroupSpec.sp(1), "2,2", 2),
+        (GroupSpec.so_odd(1), "2,1", -1),
+        (GroupSpec.so_even(1), "1,1,1,1", 6),
+    ]
+    for G, lam, want in cells:
+        with pytest.raises(StableRangeError):
+            expect_twisted_route_b(G, P(""), P(lam))
+        assert expect_trace_product(G, P(lam)) == want, (G, lam)
 
 
 def test_rains_branch_values():
@@ -101,7 +107,7 @@ def _average_or_refusal(average, *args, **kwargs):
 
 def test_entry_points_agree_on_every_cell():
     """The plain average is the twisted one at the empty label, also below
-    the range, where the Sp all-ones cells answer and every other refuses."""
+    the range, where King's rule answers every cell."""
     for family in Family:
         for n in (1, 2, 3, None):
             G = GroupSpec(family, n)
@@ -117,25 +123,74 @@ _INVOLUTION_CELLS = [(1, 4), (1, 6), (1, 8), (2, 6), (2, 8), (3, 8)]
 
 
 def test_involution_cells_match_the_torus():
+    """Every cell below the closed form's range with n <= 3, |lam| <= 8,
+    |gamma| <= |lam| and l(gamma) <= n, on all three families, against the
+    Weyl-integration oracle; the Sp all-ones involution counts are six of
+    them.  Plain cells are checked under verify."""
     below = [
-        (n, k)
+        (GroupSpec(family, n), gamma, lam)
+        for family in Family
         for n in range(1, 4)
-        for k in range(0, 9, 2)
-        if not GroupSpec.sp(n).closed_form_holds(k)
+        for k in range(9)
+        for lam in partitions_of(k)
+        for j in range(k + 1)
+        for gamma in partitions_of(j)
+        if gamma.length <= n and not GroupSpec(family, n).closed_form_holds(k, j)
     ]
-    assert below == _INVOLUTION_CELLS
-    for n, k in below:
-        value = expect_twisted(GroupSpec.sp(n), P(""), Partition([1] * k), verify=True)
-        assert abs(weyl_twisted_average(Family.SP, n, (), (1,) * k) - value) <= 1e-8, (n, k)
+    assert len(below) == 4118
+    ones = [
+        (G.rank, lam.weight)
+        for G, gamma, lam in below
+        if G.family is Family.SP and not gamma and lam.parts == (1,) * lam.weight
+    ]
+    assert ones == _INVOLUTION_CELLS
+    wrong = []
+    for G, gamma, lam in below:
+        value = expect_twisted(G, gamma, lam, verify=not gamma)
+        want = weyl_twisted_average(G.family, G.rank, gamma.parts, lam.parts)
+        if abs(want - value) > 1e-8:
+            wrong.append((str(G), str(gamma), str(lam), value, want))
+    assert not wrong, wrong[:5]
 
 
 def test_involution_count_is_checked_under_verify(monkeypatch):
     G, lam = GroupSpec.sp(1), P("1,1,1,1")
-    scan = expectations.fpf_involutions_lds
-    monkeypatch.setattr(expectations, "fpf_involutions_lds", lambda k, bound: scan(k, bound) + 1)
-    assert expect_twisted(G, P(""), lam) == 3
-    with pytest.raises(ConsistencyError, match="involution scan 3"):
+    short = expectations.rains_short_label_sum
+    monkeypatch.setattr(expectations, "rains_short_label_sum", lambda *a: short(*a) + 1)
+    assert expect_twisted(G, P(""), lam) == 2
+    with pytest.raises(ConsistencyError, match="short-label sum gives 3, King's rule 2"):
         expect_twisted(G, P(""), lam, verify=True)
+
+
+def test_short_label_sum_counts_the_involutions():
+    # Rains: the fixed-point-free involutions of k points whose longest
+    # decreasing subsequence is at most N, for every bound N, odd ones too
+    for k in range(13):
+        for N in range(1, k + 3):
+            want = fpf_involutions_lds(k, N)
+            assert rains_short_label_sum(Family.SP, N, Partition([1] * k)) == want, (k, N)
+
+
+def test_king_rule_matches_the_koike_terada_determinants():
+    """At random torus points of every group with n <= 3, the determinant
+    at each label delta, |delta| <= 8, equals sign * the Weyl character of
+    the label King's rule gives, and vanishes where the rule gives none.
+    Labels that fit the rank check the determinants themselves."""
+    rng = np.random.default_rng(5)
+    checks, worst = 0, 0.0
+    for family in Family:
+        for n in range(1, 4):
+            m = GroupSpec(family, n).matrix_size
+            for delta in (d for w in range(9) for d in partitions_of(w)):
+                sign, label = expectations._king_rule(family, m, delta)
+                assert sign == 1 or delta.length > n, (family, n, delta)
+                for theta in rng.uniform(0.1, np.pi - 0.1, size=(5, n)):
+                    det = koike_terada_character(family, n, delta.parts, theta)
+                    want = sign and sign * weyl_character(family, n, label.parts, theta)
+                    worst = max(worst, abs(det - want) / max(1.0, abs(want)))
+                    checks += 1
+    assert checks == 3 * 3 * 67 * 5  # 1,890 of them at labels longer than n
+    assert worst <= 1e-8, worst  # 2.8e-10 at this seed; a wrong rule errs by O(1)
 
 
 def test_twisted_hand_values():
@@ -203,8 +258,13 @@ def test_routes_agree(family):
 
 
 def test_twisted_below_stable_range_refused():
-    with pytest.raises(StableRangeError, match=r"holds from Sp\(4\) on.*mc-verify"):
-        expect_twisted(GroupSpec.sp(1), P("1"), P("2,1"))
+    # King's rule answers the cell alone, so verify has no second route
+    G = GroupSpec.sp(1)
+    assert expect_twisted(G, P("1"), P("2,1")) == 0
+    with pytest.raises(StableRangeError, match="King's rule is the only exact route"):
+        expect_twisted(G, P("1"), P("2,1"), verify=True)
+    with pytest.raises(StableRangeError, match=r"holds from Sp\(4\) on"):
+        expect_twisted_route_b(G, P("1"), P("2,1"))
 
 
 # (family, |lam|, |gamma|) whose cells on SO(3), one rank below the

@@ -6,9 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import weyl_twisted_average
 
 from liemoments import expectations, szego
-from liemoments.errors import ConsistencyError, ResourceBoundError, StableRangeError
+from liemoments.errors import ConsistencyError, ResourceBoundError
 from liemoments.groups import Family, GroupSpec
 from liemoments.lr import branching_decomposition, schur_product
 from liemoments.partitions import Partition, partitions_of
@@ -243,10 +244,6 @@ def test_phi_series_trivial_cases():
 def test_phi_series_domain_errors(monkeypatch):
     G = GroupSpec.sp(3)
     f = FourierData({1: Fraction(1, 2)})
-    # on Sp(2) the weight-4 terms p_(2,2) and p_(2,1,1) lie outside the
-    # closed form's range, and only the all-ones term has a value there
-    with pytest.raises(StableRangeError):
-        expect_phi_series(GroupSpec.sp(1), P(""), FourierData({1: Fraction(1, 2), 2: Fraction(1, 3)}), 4)
     with pytest.raises(ValueError):
         expect_phi_series(G, P(""), f, -1)
     with pytest.raises(ValueError):
@@ -267,6 +264,17 @@ def test_phi_series_takes_the_involution_count_below_the_range():
     value, tail = expect_phi_series(GroupSpec.sp(1), P(""), FourierData({1: Fraction(1, 2)}), 4)
     assert value == Fraction(217, 192)
     assert tail == pytest.approx(math.e - sum(1 / math.factorial(w) for w in range(5)))
+
+
+def test_phi_series_answers_every_term_below_the_range():
+    # on Sp(2) the weight-4 terms p_(2,2) and p_(2,1,1) lie below the closed
+    # form's range; each term matches the Weyl-integration oracle
+    f = FourierData({1: Fraction(1, 2), 2: Fraction(1, 3)})
+    value, _ = expect_phi_series(GroupSpec.sp(1), P(""), f, 4)
+    terms = (t for w in range(5) for t in szego._phi_coefficients(f, w))
+    want = sum(float(c) * weyl_twisted_average(Family.SP, 1, (), lam.parts) for lam, c in terms)
+    assert value == Fraction(523, 576)
+    assert abs(float(value) - want) <= 1e-12
 
 
 def test_phi_coefficients_list_supported_partitions_in_canonical_order():
