@@ -159,9 +159,7 @@ def cmd_ratio(args) -> dict:
         "coeffs": args.coeffs,
         "verified": bool(args.verify),
     }
-    if f.exact:
-        return _result(query, exact=spec.value, conventions=[_CONV_EXACT, _CONV_RATIO])
-    return _result(query, float_value=float(spec.value), conventions=[_CONV_RATIO])
+    return _result(query, exact=spec.value, conventions=[_CONV_EXACT, _CONV_RATIO])
 
 
 def cmd_asymptotics(args) -> dict:

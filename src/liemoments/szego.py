@@ -8,9 +8,10 @@ independent Jacobi-Trudi determinant), the closed asymptotic formulas for
 the plain average per family, a truncated exact series for finite rank
 with a rigorous tail bound, and Weyl dimensions.
 
-The coefficients' own scalars decide the arithmetic: with Fractions every
-value is an exact rational, with floats it is a float.  No function here
-takes a mode switch.
+Coefficients are exact rationals, so the ratio, the series value at
+c0 = 0 and the dimensions are exact; floats appear only where a value is
+irrational: the large-rank limits, the e^{n c0} prefactor and the tail
+bound.
 
 Convention: the asymptotic limit formulas describe E[Phi]/e^{n c0}; the
 normalization is systematically reported, never silently mixed.
@@ -30,8 +31,27 @@ from .characters import character_value
 from .partitions import ENUMERATION_BOUND, Partition
 
 
-#: a literal that keeps the coefficients exact: an integer or a/b fraction
-_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
+#: bound on |numerator| and denominator of every coefficient: the exact
+#: value of every double fits, and exact work on the symbol stays polynomial
+_SIZE_BOUND = 2**1100
+#: a literal's decimal exponent beyond this is refused before 10**exponent
+#: is built: int() reads at most 4300 mantissa digits, so every nonzero
+#: value spelled that way breaks the size bound
+_EXPONENT_BOUND = 10_000
+_EXPONENT = re.compile(r"e([+-]?[\d_]+)\s*$", re.IGNORECASE)
+
+
+def _rational(i: int, value) -> Fraction:
+    """c_i as the rational it is: a string as the literal it spells, a float
+    at its exact binary value."""
+    exponent = _EXPONENT.search(value) if isinstance(value, str) else None
+    try:
+        c = None if exponent and abs(int(exponent[1])) > _EXPONENT_BOUND else Fraction(value)
+    except (ArithmeticError, ValueError):
+        raise ValueError(f"coefficient c{i} must be a finite rational, got {value!r}") from None
+    if c is None or max(abs(c.numerator), c.denominator) > _SIZE_BOUND:
+        raise ValueError(f"coefficient c{i} has a numerator or denominator above 2^1100")
+    return c
 
 
 @dataclass(frozen=True)
@@ -40,28 +60,27 @@ class FourierData:
 
     `terms` takes a mapping {i: c_i} or (i, c_i) pairs with i >= 1 and
     stores them as sorted pairs with c_i nonzero; the symmetry c_{-i} = c_i
-    is implicit.  The scalars decide the arithmetic: int and Fraction values
-    all become Fractions and every result downstream stays an exact
-    rational, while a single float makes them all floats.
+    is implicit.  Every scalar is stored as the exact rational it is, a
+    float at its binary value, so every result downstream that can be exact
+    is exact.  A numerator or denominator above 2^1100 in size, or a
+    non-finite float, is refused with ValueError.
     """
 
-    terms: tuple[tuple[int, object], ...] = ()
-    c0: object = 0
+    terms: tuple[tuple[int, Fraction], ...] = ()
+    c0: Fraction = Fraction(0)
 
     def __post_init__(self):
         items = dict(self.terms)
         if not all(isinstance(i, int) and i >= 1 for i in items):
             raise ValueError(f"coefficient indices must be positive integers, got {list(items)}")
-        exact = all(isinstance(v, (int, Fraction)) for v in [self.c0, *items.values()])
-        scalar = Fraction if exact else float
-        terms = ((i, scalar(v)) for i, v in sorted(items.items()))
-        object.__setattr__(self, "terms", tuple((i, v) for i, v in terms if v))
-        object.__setattr__(self, "c0", scalar(self.c0))
+        values = {i: _rational(i, v) for i, v in sorted({0: self.c0, **items}.items())}
+        object.__setattr__(self, "c0", values.pop(0))
+        object.__setattr__(self, "terms", tuple((i, v) for i, v in values.items() if v))
 
     @classmethod
     def parse(cls, text: str) -> "FourierData":
-        """Parse "c1=0.3,c2=-1/10"; exact when every value is an integer or
-        a/b fraction, float as soon as any other number appears."""
+        """Parse "c1=0.3,c2=-1/10,c3=1e-3", each value read as the rational
+        it spells."""
         literals: dict[int, str] = {}
         for token in text.split(",") if text.strip() else ():
             name, eq, value = (part.strip() for part in token.partition("="))
@@ -70,21 +89,11 @@ class FourierData:
             if int(name[1:]) in literals:
                 raise ValueError(f"coefficient {name} is given twice")
             literals[int(name[1:])] = value
-        try:
-            values = {i: Fraction(v) for i, v in literals.items()}
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in coefficients {text!r}") from None
-        if not all(_RATIONAL.fullmatch(v) for v in literals.values()):
-            values = {i: float(v) for i, v in values.items()}
-        c0 = values.pop(0, 0)
-        return cls(values, c0)
+        c0 = literals.pop(0, "0")
+        return cls(literals, c0)
 
     @property
-    def exact(self) -> bool:
-        return isinstance(self.c0, Fraction)
-
-    @property
-    def coeffs(self) -> dict[int, object]:
+    def coeffs(self) -> dict[int, Fraction]:
         return dict(self.terms)
 
     @property
@@ -113,29 +122,20 @@ def _phi_coefficients(f: FourierData, w: int):
         yield lam, term
 
 
-def _character_terms(gamma: Partition, f: FourierData):
-    """The terms chi_gamma(lam) * prod c_i^{mult}/mult! of the character
-    sum, one per partition lam of |gamma| supported by the coefficients.
-    The sum runs over classes of S_|gamma|, so it keeps the symmetric-group
-    enumeration bound."""
+def ratio_character_sum(gamma: Partition, f: FourierData) -> Fraction:
+    """Limiting twisted-to-plain ratio R as the character sum over partitions
+    of |gamma|: sum of chi_gamma(lam) * prod c_i^{mult}/mult!.  The sum runs
+    over classes of S_|gamma|, so it keeps the symmetric-group enumeration
+    bound."""
     if gamma.weight > ENUMERATION_BOUND:
         raise ResourceBoundError(
             f"refusing to enumerate partitions of {gamma.weight} (bound {ENUMERATION_BOUND})"
         )
-    for lam, coef in _phi_coefficients(f, gamma.weight):
-        yield character_value(gamma, lam) * coef
+    terms = _phi_coefficients(f, gamma.weight)
+    return sum((character_value(gamma, lam) * coef for lam, coef in terms), Fraction(0))
 
 
-def ratio_character_sum(gamma: Partition, f: FourierData):
-    """Limiting twisted-to-plain ratio R as the character sum over partitions
-    of |gamma|: sum of chi_gamma(lam) * prod c_i^{mult}/mult!."""
-    total = 0
-    for term in _character_terms(gamma, f):
-        total += term
-    return total
-
-
-def ratio_schur_specialization(gamma: Partition, f: FourierData):
+def ratio_schur_specialization(gamma: Partition, f: FourierData) -> Fraction:
     """Same ratio as the Schur function s_gamma at p_i = i*c_i, by the
     Jacobi-Trudi determinant det(h_{gamma_i - i + j}).  The complete
     symmetric functions come from Newton's identity k h_k = sum_r p_r h_{k-r};
@@ -145,21 +145,20 @@ def ratio_schur_specialization(gamma: Partition, f: FourierData):
 
 def _jacobi_trudi(gamma: Partition, c: dict) -> list[list]:
     """The matrix (h_{gamma_i - i + j}) at p_i = i*c_i."""
-    h = [Fraction(1)]  # exact on Fractions; a float coefficient turns it float
+    h = [Fraction(1)]
     for k in range(1, gamma.weight + 1):
         h.append(sum(r * c.get(r, 0) * h[k - r] for r in range(1, k + 1)) / k)
     size = gamma.length
     return [[h[d] if d >= 0 else 0 for d in range(p - i, p - i + size)] for i, p in enumerate(gamma.parts)]
 
 
-def _determinant(rows: list[list]):
-    """Determinant by Gaussian elimination with largest-magnitude pivots;
-    exact on Fractions."""
-    det = 1
+def _determinant(rows: list[list]) -> Fraction:
+    """Determinant by exact Gaussian elimination."""
+    det = Fraction(1)
     for col in range(len(rows)):
-        pivot = max(range(col, len(rows)), key=lambda r: abs(rows[r][col]))
-        if not rows[pivot][col]:
-            return 0
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
             det = -det
@@ -172,26 +171,14 @@ def _determinant(rows: list[list]):
     return det
 
 
-#: float check of the two ratio forms: |sum - determinant| may be at most
-#: this times their rounding scale (see `SchurSpecialization`); the measured
-#: worst is 3.1e-16 on random symbols, sparse ones included, with
-#: 0.05 <= max |c_i| <= 10 and every |gamma| <= 7
-_RATIO_FORMS_GAP = 1e-13
-
-
 @dataclass(frozen=True)
 class SchurSpecialization:
     """The ratio R carried with its label, from the character sum; in
     verification mode the Jacobi-Trudi determinant, which reads no character
-    value, must agree: exactly on Fractions, and on floats to within
-    `_RATIO_FORMS_GAP` times a rounding scale.  That scale is the sum of the
-    character terms' sizes, which the sum's rounding follows, plus the
-    Hadamard bound (product of row lengths) of the Jacobi-Trudi matrix at
-    |c_i|, which the determinant's follows; a sparse symbol can make the
-    determinant's h_k cancel where the character sum has few terms."""
+    value, must equal it."""
 
     gamma: Partition
-    value: object
+    value: Fraction
 
     @classmethod
     def compute(
@@ -200,17 +187,7 @@ class SchurSpecialization:
         a = ratio_character_sum(gamma, f)
         if verify:
             b = ratio_schur_specialization(gamma, f)
-            if f.exact:
-                match = a == b
-            elif not (math.isfinite(a) and math.isfinite(b)):
-                raise OverflowError(f"ratio forms for gamma={gamma} are not finite")
-            else:
-                rows = _jacobi_trudi(gamma, {i: abs(v) for i, v in f.terms})
-                scale = sum(abs(t) for t in _character_terms(gamma, f)) + math.prod(
-                    math.hypot(*row) for row in rows
-                )
-                match = abs(a - b) <= _RATIO_FORMS_GAP * scale
-            if not match:
+            if a != b:
                 raise ConsistencyError(
                     f"ratio forms disagree for gamma={gamma}: "
                     f"character sum {a}, Schur specialization {b}"
@@ -238,7 +215,7 @@ def twisted_asymptotic(family: Family, gamma: Partition, f: FourierData) -> floa
 
 def expect_phi_series(
     G: GroupSpec, gamma: Partition, f: FourierData, weight_cutoff: int
-) -> tuple[object, float]:
+) -> tuple[Fraction | float, float]:
     """Truncated series for E[chi_gamma * Phi] at finite rank, with a
     rigorous tail bound.
 
@@ -250,8 +227,8 @@ def expect_phi_series(
     dim * e^{n c0} * (exp(m * sum|c_i|) - sum of retained m^{l(lam)} *
     |coefficient|, which is the coefficient with c_i replaced by m*|c_i|).
 
-    With exact coefficients and c0 = 0 the value is an exact rational;
-    otherwise a float.
+    The value is an exact rational when c0 = 0; otherwise the terms are
+    summed as floats and scaled by the prefactor.
     """
     if G.is_stable:
         raise ValueError("series evaluation needs a finite rank")
@@ -259,7 +236,6 @@ def expect_phi_series(
     if weight_cutoff < 0:
         raise ValueError(f"weight cutoff must be non-negative, got {weight_cutoff}")
 
-    exact_out = f.exact and f.c0 == 0
     total = 0
     m = G.matrix_size
     retained_weight = 0.0  # sum of |series coefficients| at the tail's scale
@@ -269,15 +245,13 @@ def expect_phi_series(
         value = expect_twisted(G, gamma, lam)
         if value:
             term = coeff * value
-            total += term if exact_out else float(term)
+            total += float(term) if f.c0 else term  # e^{n c0} is irrational unless c0 = 0
 
     prefactor = math.exp(n * float(f.c0))
-    if not exact_out:
-        total = float(total) * prefactor
     dim = weyl_dimension(G.family, n, gamma)
     full_weight = math.exp(m * sum(abs(float(v)) for _, v in f.terms))
     tail_bound = dim * prefactor * max(0.0, full_weight - retained_weight)
-    return total, tail_bound
+    return (total * prefactor if f.c0 else total), tail_bound
 
 
 def weyl_dimension(family: Family, n: int, gamma: Partition) -> int:

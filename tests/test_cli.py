@@ -161,8 +161,20 @@ def test_ratio_exact(capsys):
 
 def test_ratio_float_coeffs(capsys):
     doc = run_json(["ratio", "--gamma", "1", "--coeffs", "c1=0.25"], capsys)
-    assert "exact" not in doc
-    assert doc["float"] == pytest.approx(0.25)
+    assert doc["exact"] == {"numerator": "1", "denominator": "4"}
+    assert doc["float"] == 0.25
+
+
+def test_ratio_coefficient_spelling_changes_nothing(capsys):
+    docs = [
+        run_json(["ratio", "--gamma", "1", "--coeffs", c], capsys)
+        for c in ("c1=0.25", "c1=1/4", "c1=25e-2")
+    ]
+    assert len({(json.dumps(d["exact"]), d["float"]) for d in docs}) == 1
+    argv = ["ratio", "--gamma", "3,1", "--coeffs", "c1=0.3,c2=0.17,c3=-0.05", "--verify"]
+    doc = run_json(argv, capsys)
+    assert doc["exact"] == {"numerator": "-463", "denominator": "80000"}
+    assert doc["float"] == -0.0057875
 
 
 def test_asymptotics_plain(capsys):
@@ -405,24 +417,41 @@ def test_exit_code_2_on_bad_input(capsys):
     "argv",
     [
         ["asymptotics", "--family", "sp", "--coeffs", "c1=1000"],
-        ["ratio", "--gamma", "3", "--coeffs", "c1=1e200"],
         ["mc-verify", "--group", "sp", "--n", "1", "--coeffs", "c1=1000", "--samples", "100"],
         ["mc-verify", "--group", "sp", "--n", "1", "--coeffs", "c1=200", "--samples", "100"],
-        ["ratio", "--gamma", "3", "--coeffs", "c1=1e100,c2=1e250", "--verify"],
-        ["ratio", "--gamma", "2,1", "--coeffs", "c1=1e100,c2=1e250", "--verify"],
     ],
-    ids=["asymptotics", "ratio", "mc-verify", "mc-verify-stderr", "ratio-verify-inf", "ratio-verify-nan"],
+    ids=["asymptotics", "mc-verify", "mc-verify-stderr"],
 )
 @pytest.mark.parametrize("pretty", [False, True], ids=["json", "pretty"])
 def test_overflow_exits_2_with_empty_stdout(argv, pretty, capsys):
     # an overflowed or non-finite float is refused before anything is written;
     # mc-verify refuses before sampling, since at c1=1000 exp overflows and at
-    # c1=200 the stderr's squares would; ratio --verify compares no
-    # non-finite forms, where c2*c1 overflows without raising
+    # c1=200 the stderr's squares would
     code, out, err = run_cli(argv + ["--pretty"] * pretty, capsys)
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, want, in_float_range",
+    [
+        # s_3 = c1^3/6 + c1 c2 and s_21 = c1^3/3 at p_i = i c_i
+        (["ratio", "--gamma", "3", "--coeffs", "c1=1e200"], Fraction(10**600, 6), False),
+        (["ratio", "--gamma", "3", "--coeffs", "c1=1e100,c2=1e250", "--verify"], Fraction(10**300, 6) + 10**350, False),
+        (["ratio", "--gamma", "2,1", "--coeffs", "c1=1e100,c2=1e250", "--verify"], Fraction(10**300, 3), True),
+    ],
+    ids=["ratio", "ratio-verify-inf", "ratio-verify-nan"],
+)
+@pytest.mark.parametrize("pretty", [False, True], ids=["json", "pretty"])
+def test_huge_coefficients_answer_ratio_exactly(argv, want, in_float_range, pretty, capsys):
+    # the ratio is exact whatever the coefficients' size, so it is answered
+    # with exit 0, and the float key is left out when the value has none
+    code, out, err = run_cli(argv + ["--pretty"] * pretty, capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["exact"] == {"numerator": str(want.numerator), "denominator": str(want.denominator)}
+    assert doc.get("float") == (float(want) if in_float_range else None)
 
 
 @pytest.mark.parametrize("gamma", [[], ["--gamma", "1"]], ids=["phi", "twisted-phi"])

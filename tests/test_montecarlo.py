@@ -152,6 +152,14 @@ def test_twisted_phi_ratio_recovers_coefficient():
     assert abs(r.ratio - 0.3) < 5 * r.stderr + 0.02
 
 
+def test_decimal_coefficients_are_pinned_bit_for_bit():
+    # decimal literals are read as exact rationals and the observable takes
+    # float(c), the nearest double, so the estimate keeps these bits
+    f = FourierData.parse("c0=0.1,c1=0.3,c2=-0.15")
+    e = estimate(GroupSpec.so_odd(3), TwistedPhiObservable(P("1"), f), 8192, seed=5, threads=1)
+    assert (e.mean.hex(), e.stderr.hex()) == ("0x1.908fcc83cfe6ap-2", "0x1.181beb8047f1bp-6")
+
+
 def test_character_orthonormality():
     G = GroupSpec.sp(4)
     probes = [

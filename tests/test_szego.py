@@ -29,16 +29,16 @@ P = Partition.parse
 
 def test_fourier_parse_exact_mode():
     f = FourierData.parse("c1=1/2,c2=-1/10")
-    assert f.exact
     assert f.coeffs == {1: Fraction(1, 2), 2: Fraction(-1, 10)}
     assert f.c0 == 0
     assert f.support == (1, 2)
 
 
 def test_fourier_parse_float_mode():
+    # a decimal literal is the rational it spells, not the nearest double
     f = FourierData.parse("c1=0.3,c2=-1/10")
-    assert not f.exact
-    assert f.coeffs == {1: pytest.approx(0.3), 2: pytest.approx(-0.1)}
+    assert f.coeffs == {1: Fraction(3, 10), 2: Fraction(-1, 10)}
+    assert float(f.coeffs[1]) == 0.3
 
 
 def test_fourier_parse_c0_and_empty():
@@ -54,14 +54,14 @@ def test_fourier_parse_c0_and_empty():
 @pytest.mark.parametrize(
     "text, want",
     [
-        ("", ("exact", {}, 0)),
-        ("c1=1/2,c2=-1/10", ("exact", {1: Fraction(1, 2), 2: Fraction(-1, 10)}, 0)),
-        ("  c1 = 1/2 ,  c3=2 ", ("exact", {1: Fraction(1, 2), 3: 2}, 0)),
-        ("C2=+3", ("exact", {2: 3}, 0)),
-        ("c0=-2,c1=0", ("exact", {}, -2)),
-        ("c0=1/2,c1=0.25", ("float", {1: 0.25}, 0.5)),
-        ("c1=1e-3", ("float", {1: 0.001}, 0.0)),
-        ("c1=-0.5,c2=1/4", ("float", {1: -0.5, 2: 0.25}, 0.0)),
+        ("", ({}, 0)),
+        ("c1=1/2,c2=-1/10", ({1: Fraction(1, 2), 2: Fraction(-1, 10)}, 0)),
+        ("  c1 = 1/2 ,  c3=2 ", ({1: Fraction(1, 2), 3: 2}, 0)),
+        ("C2=+3", ({2: 3}, 0)),
+        ("c0=-2,c1=0", ({}, -2)),
+        ("c0=1/2,c1=0.25", ({1: Fraction(1, 4)}, Fraction(1, 2))),
+        ("c1=1e-3", ({1: Fraction(1, 1000)}, 0)),
+        ("c1=-0.5,c2=1/4", ({1: Fraction(-1, 2), 2: Fraction(1, 4)}, 0)),
         ("c1=1,", ValueError),
         (",", ValueError),
         ("c-1=2", ValueError),
@@ -83,12 +83,10 @@ def test_fourier_parse_table(text, want):
         with pytest.raises(ValueError):
             FourierData.parse(text)
         return
-    mode, coeffs, c0 = want
+    coeffs, c0 = want
     f = FourierData.parse(text)
-    assert f.exact == (mode == "exact")
     assert f.coeffs == coeffs and f.c0 == c0
-    kind = Fraction if f.exact else float
-    assert all(type(v) is kind for v in [f.c0, *f.coeffs.values()])
+    assert all(type(v) is Fraction for v in [f.c0, *f.coeffs.values()])
 
 
 def test_fourier_construction_rules():
@@ -98,14 +96,36 @@ def test_fourier_construction_rules():
     with pytest.raises(ValueError):
         FourierData({-2: 1})
     f = FourierData({2: Fraction(1, 2)}, c0=1)
-    assert f.exact and f.c0 == 1
+    assert type(f.c0) is Fraction and f.c0 == 1
     assert f == FourierData([(2, Fraction(1, 2))], Fraction(1))
     g = FourierData({2: Fraction(1, 2), 3: 0.25}, c0=1)
-    assert not g.exact and type(g.c0) is float and g.coeffs == {2: 0.5, 3: 0.25}
+    assert type(g.c0) is Fraction and g.coeffs == {2: Fraction(1, 2), 3: Fraction(1, 4)}
+    # a float is stored at its exact binary value
+    assert FourierData({1: 0.3}).coeffs[1] == Fraction(5404319552844595, 18014398509481984)
     assert FourierData({3: 1, 1: 2}).support == (1, 3)
     assert len({f, FourierData({2: Fraction(1, 2)}, c0=1)}) == 1
     with pytest.raises(dataclasses.FrozenInstanceError):
         f.c0 = 2
+
+
+def test_coefficient_size_bound():
+    """Numerators and denominators above 2^1100 are refused for every
+    spelling; the exact value of every finite double fits."""
+    bound = 2**1100
+    for big in ("c1=1e400", "c1=1e-400", "c2=1e100000", "c1=1e1000000000", f"c3=1/{bound + 1}"):
+        with pytest.raises(ValueError, match=r"above 2\^1100"):
+            FourierData.parse(big)
+    assert FourierData.parse(f"c1=-{bound}/{bound - 1}").coeffs[1] == Fraction(-bound, bound - 1)
+    assert FourierData.parse("c1=0e-99").support == ()
+    for tiny_or_huge in (5e-324, 1.7976931348623157e308):
+        assert FourierData({1: tiny_or_huge}).coeffs[1] == Fraction(tiny_or_huge)
+    with pytest.raises(ValueError, match=r"above 2\^1100"):
+        FourierData({1: Fraction(1, 3 * 2**1099)})
+    for i, bad in ((1, math.inf), (4, -math.inf), (2, math.nan)):
+        with pytest.raises(ValueError, match=f"coefficient c{i} "):
+            FourierData({i: bad})
+    with pytest.raises(ValueError, match="coefficient c0 "):
+        FourierData({1: 1}, c0=math.inf)
 
 
 def test_ratio_closed_forms_small_labels():
@@ -135,9 +155,8 @@ def test_ratio_forms_agree_random_rationals():
 
 
 def test_ratio_forms_agree_random_floats():
-    """Float symbols, sparse ones included, where the determinant's h_k can
-    cancel while the character sum has few terms, pass the verified check
-    at every label of weight <= 7."""
+    """Float symbols, sparse ones included, read at their exact binary
+    values: the two forms are equal at every label of weight <= 7."""
     rng = random.Random(11)
     for _ in range(60):
         density = rng.choice([0.3, 0.7, 1.0])
@@ -149,16 +168,20 @@ def test_ratio_forms_agree_random_floats():
 
 @pytest.mark.parametrize("gamma", ["1", "2", "3", "2,1", "1,1,1"])
 def test_float_ratio_check_catches_small_relative_error(gamma, monkeypatch):
-    """A determinant off by 1e-11 relative, far above the two forms'
-    rounding, fails the float check; without verify it is not read."""
-    f = FourierData({1: 0.3, 2: 0.1, 3: 0.05})
+    """A determinant off by the exact relative error 10^-40, on a decimal
+    symbol and on a binary-float one, fails the check; without verify it is
+    not read."""
     exact = szego.ratio_schur_specialization
     monkeypatch.setattr(
-        szego, "ratio_schur_specialization", lambda g, data: exact(g, data) * (1 + 1e-11)
+        szego,
+        "ratio_schur_specialization",
+        lambda g, data: exact(g, data) * (1 + Fraction(1, 10**40)),
     )
-    with pytest.raises(ConsistencyError):
-        SchurSpecialization.compute(P(gamma), f, verify=True)
-    assert SchurSpecialization.compute(P(gamma), f).value == ratio_character_sum(P(gamma), f)
+    for f in (FourierData.parse("c1=0.3,c2=0.1,c3=0.05"), FourierData({1: 0.3, 2: 0.1, 3: 0.05})):
+        with pytest.raises(ConsistencyError):
+            SchurSpecialization.compute(P(gamma), f, verify=True)
+        value = SchurSpecialization.compute(P(gamma), f).value
+        assert value == ratio_character_sum(P(gamma), f) == exact(P(gamma), f)
 
 
 def test_ratio_multiplicative_under_lr():
