@@ -1,4 +1,4 @@
-"""Irreducible characters of symmetric groups and their character tables.
+"""Symmetric group characters, King's rule and Jacobi-Trudi determinants.
 
 Character values are computed by the classical border-strip recursion,
 implemented on first-column beta numbers: removing a border strip of length
@@ -7,13 +7,16 @@ r from the diagram is the same as replacing one beta number b by b - r
 is the number of beta numbers strictly between the two.  All arithmetic is
 exact integers.  The removals of each (shape, strip length) are computed
 once per process and shared by every recursion step that meets that shape.
+The removal that empties the last row is King's modification rule.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ResourceBoundError
+from .groups import Family
 from .partitions import Partition, partitions_of
 
 
@@ -60,6 +63,68 @@ def _border_strip_removals(lam: tuple[int, ...], r: int):
         parts = tuple(new_beta[j] - (ell - 1 - j) for j in range(ell))
         out.append((tuple(p for p in parts if p > 0), height))
     return tuple(out)
+
+
+def king_rule(family: Family, m: int, delta: Partition) -> tuple[int, Partition]:
+    """King's modification rule (J. Phys. A 4, 1971; Koike and Terada,
+    J. Algebra 107, 1987): the universal character labeled delta equals
+    sign * chi_label on the group of matrix size m, with sign 0 when it
+    vanishes.  While 2 l(delta) > m, the border strip of length
+    h = 2l - m - 2 (Sp) or 2l - m (O) that empties the last row is removed.
+    With height r it spans c = h - r columns, for the sign (-1)^c (Sp) or
+    (-1)^(c-1) (O, where the det factor is invisible on SO)."""
+    parts, sign = delta.parts, 1
+    while 2 * len(parts) > m:
+        h = 2 * len(parts) - m - 2 * family.epsilon
+        strips = [(p, h - r) for p, r in _border_strip_removals(parts, h) if len(p) < len(parts)]
+        if not strips:
+            return 0, delta
+        parts, c = strips[0]
+        sign *= (-1) ** (c - 1 + family.epsilon)
+    return sign, Partition(parts)
+
+
+def jacobi_trudi(family: Family | None, gamma: Partition, h):
+    """Determinant in the complete symmetric functions h(k), h_k = 0 for
+    k < 0: the Schur function det(h_{g_i - i + j}) for family None, and the
+    Koike-Terada universal characters (J. Algebra 107, 1987)
+    sp_gamma = det(h_{g_i - i + 1} | h_{g_i - i + j} + h_{g_i - i - j + 2})
+    and o_gamma = det(h_{g_i - i + j} - h_{g_i - i - j}) for Sp and either
+    SO family, i, j = 1..l(gamma).  Exact when h is integer or rational."""
+
+    def hk(k):
+        return h(k) if k >= 0 else 0
+
+    def entry(a, j):
+        if family is None:
+            return hk(a + j)
+        if family is Family.SP:
+            return hk(a + 1) if j == 1 else hk(a + j) + hk(a - j + 2)
+        return hk(a + j) - hk(a - j)
+
+    cols = range(1, gamma.length + 1)
+    return _determinant([[entry(p - i, j) for j in cols] for i, p in enumerate(gamma.parts, 1)])
+
+
+def _determinant(rows: list[list]):
+    """Determinant by Bareiss' fraction-free elimination with partial
+    pivoting.  Each division is exact, so integer entries stay integers and
+    rational ones stay exact; floats take the pivot of largest size."""
+    sign, prev = 1, Fraction(1)
+    for col in range(len(rows)):
+        pivot = max(range(col, len(rows)), key=lambda r: abs(rows[r][col]))
+        if not rows[pivot][col]:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            sign = -sign
+        top = rows[col]
+        for row in rows[col + 1 :]:
+            for j in range(col + 1, len(rows)):
+                num = row[j] * top[col] - row[col] * top[j]
+                row[j] = num // prev if isinstance(num, int) else num / prev
+        prev = top[col]
+    return sign * prev
 
 
 class CharacterTable:

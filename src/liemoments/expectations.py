@@ -21,9 +21,9 @@ route B inherits the sign through the plain average of the remainder.
 
 These closed forms hold where `GroupSpec.closed_form_holds` says so, and
 route B refuses the other cells with StableRangeError.  Route A holds at
-every rank once King's modification rule folds each universal label of its
-sum and nu is cut at the matrix size.  `expect_twisted` is the one exact
-entry point; the plain average is its empty label.
+every rank once King's rule (`characters.king_rule`) folds each universal
+label of its sum and nu is cut at the matrix size.  `expect_twisted` is
+the one exact entry point; the plain average is its empty label.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import count
 
-from .characters import character_value
+from .characters import character_value, king_rule
 from .errors import ConsistencyError, StableRangeError
 from .groups import Family, GroupSpec, check_label, mirror_factor
 from .lr import paired_partitions, schur_product
@@ -57,30 +57,6 @@ def _plain_average_stable(family: Family, lam: Partition) -> int:
     return value
 
 
-def _king_rule(family: Family, m: int, delta: Partition) -> tuple[int, Partition]:
-    """King's modification rule (J. Phys. A 4, 1971; Koike and Terada,
-    J. Algebra 107, 1987): the universal character labeled delta equals
-    sign * chi_label on the group of matrix size m, with sign 0 when it
-    vanishes.  While 2 l(delta) > m, a boundary strip of length
-    h = 2l - m - 2 (Sp) or 2l - m (O) leaves from the foot of the first
-    column: it exists iff some first-column beta number equals h, and it
-    spans c columns for the sign (-1)^c (Sp) or (-1)^(c-1) (O, where the
-    det factor is invisible on SO)."""
-    parts, sign = delta.parts, 1
-    while 2 * len(parts) > m:
-        ell = len(parts)
-        h = 2 * ell - m - 2 * family.epsilon
-        beta = [p + ell - 1 - i for i, p in enumerate(parts)]
-        if h not in beta:
-            return 0, delta
-        i = beta.index(h)
-        c = h - (ell - 1 - i)
-        sign *= (-1) ** (c if family is Family.SP else c - 1)
-        del beta[i]
-        parts = Partition(b - (ell - 1 - j) for j, b in enumerate(beta)).parts
-    return sign, Partition(parts)
-
-
 @lru_cache(maxsize=None)
 def _multiplicities(family: Family, m: int | None, gamma: Partition, k: int) -> tuple:
     """Coefficient of chi_gamma in each s_nu with |nu| = k, restricted to the
@@ -94,7 +70,7 @@ def _multiplicities(family: Family, m: int | None, gamma: Partition, k: int) -> 
         labels = []
         for w in range(k % 2, k + 1, 2):
             for delta in partitions_of(w):
-                sign, label = _king_rule(family, m, delta)
+                sign, label = king_rule(family, m, delta)
                 if sign and label == gamma:
                     labels.append((sign, delta))
     mult: dict[Partition, int] = {}

@@ -104,9 +104,8 @@ def branching_decomposition(lam: Partition, family: Family) -> BranchingTarget:
 
     The multiplicity of mu is the sum of c^lam_{beta, mu} over beta in
     `paired_partitions`: the universal labels mu, valid verbatim when the
-    group rank is at least |lam|.  Below that a label longer than the rank
-    is folded by King's modification rule, as route A of `expectations`
-    does.
+    group rank is at least |lam|.  This function takes no rank and folds
+    nothing: at rank n a label longer than n folds by `characters.king_rule`.
     """
     k = lam.weight
     coeffs: dict[Partition, int] = {}

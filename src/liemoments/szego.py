@@ -3,15 +3,14 @@ multiplicative observable Phi built from finitely many Fourier coefficients.
 
 Phi is the class function e^{n c0} * exp(sum_i c_i tr g^i).  This module
 holds everything about it that does not require sampling: the limiting
-ratio R of twisted to plain averages (a character sum, checked against an
-independent Jacobi-Trudi determinant), the closed asymptotic formulas for
-the plain average per family, a truncated exact series for finite rank
-with a rigorous tail bound, and Weyl dimensions.
+ratio R of twisted to plain averages (a character sum, checked against a
+Jacobi-Trudi determinant), the closed asymptotic formulas for the plain
+average per family, a truncated exact series for finite rank with a
+rigorous tail bound, and Weyl dimensions, as determinants at the identity.
 
-Coefficients are exact rationals, so the ratio, the series value at
-c0 = 0 and the dimensions are exact; floats appear only where a value is
-irrational: the large-rank limits, the e^{n c0} prefactor and the tail
-bound.
+Coefficients are exact rationals, so the ratio, the series sum and the
+dimensions are exact; floats appear only where a value is irrational:
+the large-rank limits, the e^{n c0} prefactor and the tail bound.
 
 Convention: the asymptotic limit formulas describe E[Phi]/e^{n c0}; the
 normalization is systematically reported, never silently mixed.
@@ -24,10 +23,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .characters import character_value, jacobi_trudi
 from .errors import ConsistencyError, ResourceBoundError
 from .expectations import expect_twisted
-from .groups import Family, GroupSpec, weyl_exponents
-from .characters import character_value
+from .groups import Family, GroupSpec, check_label
 from .partitions import ENUMERATION_BOUND, Partition
 
 
@@ -140,35 +139,11 @@ def ratio_schur_specialization(gamma: Partition, f: FourierData) -> Fraction:
     Jacobi-Trudi determinant det(h_{gamma_i - i + j}).  The complete
     symmetric functions come from Newton's identity k h_k = sum_r p_r h_{k-r};
     no symmetric group character is read."""
-    return _determinant(_jacobi_trudi(gamma, f.coeffs))
-
-
-def _jacobi_trudi(gamma: Partition, c: dict) -> list[list]:
-    """The matrix (h_{gamma_i - i + j}) at p_i = i*c_i."""
+    c = f.coeffs
     h = [Fraction(1)]
     for k in range(1, gamma.weight + 1):
         h.append(sum(r * c.get(r, 0) * h[k - r] for r in range(1, k + 1)) / k)
-    size = gamma.length
-    return [[h[d] if d >= 0 else 0 for d in range(p - i, p - i + size)] for i, p in enumerate(gamma.parts)]
-
-
-def _determinant(rows: list[list]) -> Fraction:
-    """Determinant by exact Gaussian elimination."""
-    det = Fraction(1)
-    for col in range(len(rows)):
-        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        top = rows[col]
-        det *= top[col]
-        for row in rows[col + 1 :]:
-            factor = row[col] / top[col]
-            for j in range(col, len(rows)):
-                row[j] -= factor * top[j]
-    return det
+    return jacobi_trudi(None, gamma, h.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -227,8 +202,8 @@ def expect_phi_series(
     dim * e^{n c0} * (exp(m * sum|c_i|) - sum of retained m^{l(lam)} *
     |coefficient|, which is the coefficient with c_i replaced by m*|c_i|).
 
-    The value is an exact rational when c0 = 0; otherwise the terms are
-    summed as floats and scaled by the prefactor.
+    The sum is exact, and the value is that rational when c0 = 0;
+    otherwise it is rounded once and scaled by the irrational prefactor.
     """
     if G.is_stable:
         raise ValueError("series evaluation needs a finite rank")
@@ -242,42 +217,20 @@ def expect_phi_series(
     terms = (t for w in range(weight_cutoff + 1) for t in _phi_coefficients(f, w))
     for lam, coeff in terms:
         retained_weight += m**lam.length * abs(float(coeff))
-        value = expect_twisted(G, gamma, lam)
-        if value:
-            term = coeff * value
-            total += float(term) if f.c0 else term  # e^{n c0} is irrational unless c0 = 0
+        total += coeff * expect_twisted(G, gamma, lam)
 
     prefactor = math.exp(n * float(f.c0))
     dim = weyl_dimension(G.family, n, gamma)
     full_weight = math.exp(m * sum(abs(float(v)) for _, v in f.terms))
     tail_bound = dim * prefactor * max(0.0, full_weight - retained_weight)
-    return (total * prefactor if f.c0 else total), tail_bound
+    return (float(total) * prefactor if f.c0 else total), tail_bound
 
 
 def weyl_dimension(family: Family, n: int, gamma: Partition) -> int:
-    """Dimension of the representation labeled gamma, by the classical
-    product formulas over the exponents of `weyl_exponents`, in exact
-    rational arithmetic.
-
-    For the even orthogonal family with l(gamma) = n this is the dimension
-    of the mirror-image sum, twice that of either irreducible.
-    """
-    a, b, mirror = weyl_exponents(family, n, gamma)
-    # the formula is homogeneous of degree 0 in the exponents, and doubled
-    # they are integers on every family, so the products stay integral
-    a = [int(2 * x) for x in a]
-    b = [int(2 * x) for x in b]
-    num = den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= a[i] ** 2 - a[j] ** 2
-            den *= b[i] ** 2 - b[j] ** 2
-    if family is not Family.SO_EVEN:
-        num *= math.prod(a)
-        den *= math.prod(b)
-    if num % den:
-        raise ConsistencyError(
-            f"dimension formula produced non-integer {Fraction(num, den)} "
-            f"for {family}, n={n}, {gamma}"
-        )
-    return mirror * (num // den)
+    """Dimension of the representation labeled gamma at rank n: the
+    family's Koike-Terada determinant at the m eigenvalues 1 of the
+    identity, h_k = C(m + k - 1, k).  For the even orthogonal family with
+    l(gamma) = n it is the mirror-image sum, twice either irreducible."""
+    check_label(gamma, n)
+    m = GroupSpec(family, n).matrix_size
+    return int(jacobi_trudi(family, gamma, lambda k: math.comb(m + k - 1, k)))

@@ -10,14 +10,16 @@ matrix products instead of split products, per-sample random
 streams from a Generator built afresh for each sample, and Haar averages
 from the Weyl integration formula on the maximal torus, with the even
 orthogonal mirror sum taken as an elementary symmetric function of the
-eigenvalues instead of a ratio of Weyl determinants, and characters at
+eigenvalues instead of a ratio of Weyl determinants, characters at
 labels longer than the rank from the Koike-Terada determinants instead of
-King's modification rule.
+King's modification rule, and dimensions from Weyl's product formula
+instead of a determinant at the identity.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
@@ -336,6 +338,25 @@ def weyl_character(family: Family, n: int, gamma: tuple[int, ...], theta) -> flo
     num, den = _weyl_alternants(family, n, gamma, theta)
     mirror = 2 if family is Family.SO_EVEN and len(gamma) == n else 1
     return mirror * num / den
+
+
+def weyl_product_dimension(family: Family, n: int, gamma: tuple[int, ...]) -> int:
+    """Dimension of the label gamma, l(gamma) <= n, by Weyl's product formula
+    over the exponents a = gamma + rho and rho of `weyl_twisted_average`:
+    prod_{i<j} (a_i^2 - a_j^2) / (rho_i^2 - rho_j^2), times prod a_i / rho_i
+    except on SO(2n), and doubled on SO(2n) for a label of full length."""
+    shift = {Family.SP: 1, Family.SO_ODD: Fraction(1, 2), Family.SO_EVEN: 0}[family]
+    rho = [n - 1 - j + shift for j in range(n)]
+    a = [p + r for p, r in zip(list(gamma) + [0] * (n - len(gamma)), rho)]
+    value = Fraction(1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            value *= Fraction(a[i] ** 2 - a[j] ** 2) / (rho[i] ** 2 - rho[j] ** 2)
+        if family is not Family.SO_EVEN:
+            value *= Fraction(a[i]) / rho[i]
+    mirror = 2 if family is Family.SO_EVEN and len(gamma) == n else 1
+    assert value.denominator == 1, (family, n, gamma, value)
+    return mirror * int(value)
 
 
 def koike_terada_character(family: Family, n: int, delta: tuple[int, ...], theta) -> complex:

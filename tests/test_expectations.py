@@ -7,6 +7,7 @@ import numpy as np
 from oracles import koike_terada_character, weyl_character, weyl_twisted_average
 
 from liemoments import expectations
+from liemoments.characters import king_rule
 from liemoments.errors import ConsistencyError, StableRangeError
 from liemoments.expectations import (
     expect_trace_product,
@@ -174,7 +175,7 @@ def test_king_rule_matches_the_koike_terada_determinants():
         for n in range(1, 4):
             m = GroupSpec(family, n).matrix_size
             for delta in (d for w in range(9) for d in partitions_of(w)):
-                sign, label = expectations._king_rule(family, m, delta)
+                sign, label = king_rule(family, m, delta)
                 assert sign == 1 or delta.length > n, (family, n, delta)
                 for theta in rng.uniform(0.1, np.pi - 0.1, size=(5, n)):
                     det = koike_terada_character(family, n, delta.parts, theta)

@@ -373,9 +373,9 @@ def test_names_the_bench_tracer_rebinds_exist():
     """The benchmark under `bench/` rebinds, wraps or reads these package
     names, so renaming or deleting one breaks a benchmark run; this makes it
     fail here first.  Drop the rebinding parts when the timing spans move
-    into the package (ROADMAP item 5).  bench/child.py also rebinds every
-    cli.cmd_* after importing the CLI, to time the handler; that cli.main
-    runs the rebound one is pinned by
+    into the package (ROADMAP item 4; item 3 switches the bench to them).
+    bench/child.py also rebinds every cli.cmd_* after importing the CLI, to
+    time the handler; that cli.main runs the rebound one is pinned by
     test_cli.py::test_handler_rebound_after_first_call_runs."""
     # bench/mc.py:install_tracing rebinds these and reads two thresholds
     for name in (

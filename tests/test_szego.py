@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import weyl_twisted_average
+from oracles import weyl_product_dimension, weyl_twisted_average
 
 from liemoments import expectations, szego
 from liemoments.errors import ConsistencyError, ResourceBoundError
@@ -264,6 +264,18 @@ def test_phi_series_trivial_cases():
     assert value == pytest.approx(math.exp(4 * 1.5))
 
 
+def test_phi_series_rounds_the_exact_sum_once_when_c0_is_nonzero():
+    # the terms are summed as rationals, then rounded and scaled by e^{n c0};
+    # rounding each term first moves the last bits (...7349a and ...1204b)
+    G = GroupSpec.so_odd(3)
+    f = FourierData.parse("c0=1/8,c1=-1/4,c2=-1/6,c3=-1/8")
+    for cutoff, want in ((3, "-0x1.001417da73499p-3"), (5, "-0x1.bacd693f12048p-4")):
+        value, _ = expect_phi_series(G, P("3"), f, cutoff)
+        exact, _ = expect_phi_series(G, P("3"), dataclasses.replace(f, c0=0), cutoff)
+        assert value.hex() == want, cutoff
+        assert value == float(exact) * math.exp(3 / 8)
+
+
 def test_phi_series_domain_errors(monkeypatch):
     G = GroupSpec.sp(3)
     f = FourierData({1: Fraction(1, 2)})
@@ -449,6 +461,8 @@ def test_weyl_dimension_values():
     assert weyl_dimension(Family.SO_ODD, 1, P("4")) == 9
     assert weyl_dimension(Family.SO_ODD, 2, P("1,1")) == 10
     assert weyl_dimension(Family.SO_EVEN, 2, P("1,1")) == 6
+    # Lambda^3 of C^9; a determinant that divides ints as floats gives 83
+    assert weyl_dimension(Family.SO_ODD, 4, P("1,1,1")) == 84
     for n in (1, 2, 3, 4):
         assert weyl_dimension(Family.SP, n, P("1")) == 2 * n
         assert weyl_dimension(Family.SO_ODD, n, P("1")) == 2 * n + 1
@@ -458,6 +472,19 @@ def test_weyl_dimension_values():
             assert weyl_dimension(family, n, P("")) == 1
     with pytest.raises(ValueError):
         weyl_dimension(Family.SP, 2, P("1,1,1"))
+
+
+def test_weyl_dimension_is_the_product_formula():
+    """The determinant at the identity equals Weyl's product formula on
+    every label that fits the rank, n <= 7 and |gamma| <= 10."""
+    cells = 0
+    for family in Family:
+        for n in range(1, 8):
+            for gamma in (g for w in range(11) for g in partitions_of(w) if g.length <= n):
+                want = weyl_product_dimension(family, n, gamma.parts)
+                assert weyl_dimension(family, n, gamma) == want, (family, n, gamma)
+                cells += 1
+    assert cells == 1734
 
 
 def _gl_dimension(lam: Partition, m: int) -> int:
