@@ -484,7 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000, help="sample count")
     p.add_argument("--seed", type=int, default=0, help="base seed for sampling")
     p.add_argument(
-        "--threads", type=int, default=None, help="worker threads (default: CPU count)"
+        "--threads",
+        type=int,
+        default=None,
+        help="worker threads (default: the CPUs this process may use)",
     )
 
     p = sub.add_parser(

@@ -8,12 +8,17 @@ numpy's pairwise summation.  Worker count therefore cannot change any bit
 of the result, only the wall time.
 
 A worker takes one chunk of `CHUNK` samples at a time and makes its stream
-handles once; it then draws, checks and evaluates them in consecutive
-blocks of at most 1024 matrices and 2^19 matrix entries, writing each
-block's values into the chunk's output.  So a worker holds the chunk's
-handles and values plus one block's normals, matrices, QR factors, powers
-and angles, whatever the matrix size.  Each sample's values depend only on
-its own draws, so the block size changes no bit either.
+handles and one workspace for it (`sampling._workspace`: a block's
+normals, matrix stack, powers and traces in a single allocation).  It
+then draws, checks and evaluates the chunk in consecutive blocks of
+`_block_rows` samples in the workspace's first rows, writing each block's
+values into the chunk's output.  So a worker holds the chunk's handles,
+values and workspace plus QR's three block-sized temporaries, whatever
+the matrix size.  The workspace is one allocation because glibc's malloc
+trims its heap only above twice the largest mapping freed so far: once a
+chunk's workspace is freed, QR's freed temporaries stay in the heap from
+block to block instead of being faulted in again.  Each sample's values
+depend only on its own draws, so the block size changes no bit either.
 
 Every observable is one product, characters times power traces times Phi,
 evaluated by `_Product.evaluate`; the public classes only name their
@@ -40,9 +45,10 @@ import numpy as np
 
 from . import config
 from .errors import DegeneracyError
-from .groups import GroupSpec
+from .groups import Family, GroupSpec
 from .partitions import Partition
 from .sampling import (
+    _workspace,
     half_spectrum_batch,
     rng_for_sample,
     sample_matrices,
@@ -52,9 +58,9 @@ from .sampling import (
 from .szego import FourierData, weyl_dimension
 
 CHUNK = 4096
-#: a block of a chunk holds at most this many matrices and matrix entries
-_BLOCK_ROWS = 1024
-_BLOCK_ENTRIES = 1 << 19
+#: bytes of each block-sized array (the normals, the matrix stack, each
+#: power); with the 1024-sample cap, Sp(8) and SO(11) keep 1024-sample blocks
+_BLOCK_BYTES = 1 << 20
 MAX_RESAMPLE_ROUNDS = 12
 DEGENERACY_BUDGET = 0.01
 #: ln of the largest float; exp overflows beyond it
@@ -158,29 +164,42 @@ class CharacterProductObservable(_Product):
     kind = "char-product"
 
 
+def _block_rows(G: GroupSpec) -> int:
+    """Samples per block: as many m x m matrices of the group's entry type
+    (complex for Sp, real for SO) as fit in `_BLOCK_BYTES`, at most 1024
+    and at least one: 1024 up to Sp(8) and SO(11), 163 for Sp(20), 40 for
+    Sp(40) and 10 for Sp(80)."""
+    itemsize = 16 if G.family is Family.SP else 8
+    return max(1, min(1024, _BLOCK_BYTES // (itemsize * G.matrix_size**2)))
+
+
 def _chunk_block(G, observables, seed, i0, i1, pmax, labels):
     """Values of samples [i0, i1), shape (num observables, i1 - i0), and the
     number of samples that needed a redraw, computed in blocks of
-    min(1024, 2^19 // m^2) samples for m x m matrices, and at least one."""
+    `_block_rows(G)` samples that share one workspace."""
     rngs = [rng_for_sample(seed, i) for i in range(i0, i1)]
-    rows = max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // G.matrix_size**2))
+    rows = _block_rows(G)
+    work = _workspace(G, min(rows, i1 - i0), pmax)
     out = np.empty((len(observables), i1 - i0))
     degenerate = 0
     for s in range(0, i1 - i0, rows):
         block = slice(s, s + rows)
-        degenerate += _evaluate_block(G, observables, rngs[block], pmax, labels, out[:, block])
+        degenerate += _evaluate_block(
+            G, observables, rngs[block], pmax, labels, out[:, block], work
+        )
     return out, degenerate
 
 
-def _evaluate_block(G, observables, rngs, pmax, labels, out) -> int:
-    """Draw one matrix per handle, redraw the degenerate ones from their own
-    streams until none is left, and write each observable's values into its
-    row of `out`; returns how many samples were redrawn."""
+def _evaluate_block(G, observables, rngs, pmax, labels, out, work) -> int:
+    """Draw one matrix per handle into the workspace `work`, redraw the
+    degenerate ones from their own streams until none is left, and write
+    each observable's values into its row of `out`; returns how many
+    samples were redrawn."""
     tolerances = config.DEFAULT_TOLERANCES
-    mats = sample_matrices(G, rngs)
+    mats = sample_matrices(G, rngs, work=work)
     ever_degenerate = np.zeros(len(rngs), dtype=bool)
     for _ in range(MAX_RESAMPLE_ROUNDS + 1):
-        traces, imag = trace_powers_batch(mats, pmax)
+        traces, imag = trace_powers_batch(mats, pmax, work=work)
         bad = imag > tolerances.trace_imag
         chars: dict[Partition, np.ndarray] = {}
         if labels:
@@ -196,11 +215,20 @@ def _evaluate_block(G, observables, rngs, pmax, labels, out) -> int:
             return int(ever_degenerate.sum())
         ever_degenerate |= bad
         idx = np.nonzero(bad)[0]
-        mats[idx] = sample_matrices(G, [rngs[i] for i in idx])
+        mats[idx] = sample_matrices(G, [rngs[i] for i in idx])  # new arrays, not `work`'s
     raise DegeneracyError(
         f"samples [{rngs[0].index},{rngs[-1].index + 1}) still degenerate "
         f"after {MAX_RESAMPLE_ROUNDS} redraw rounds"
     )
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (a CPU-limited container or `taskset`), else the
+    machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _check_range(G: GroupSpec, obs: _Product, samples: int) -> None:
@@ -257,7 +285,7 @@ def sample_values(
         i0, i1 = span
         return i0, i1, _chunk_block(G, observables, seed, i0, i1, pmax, labels)
 
-    workers = min(threads or os.cpu_count() or 1, len(ranges))
+    workers = min(threads or _usable_cpus(), len(ranges))
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         mapper = pool.map if pool else map
         for i0, i1, (block, ndeg) in mapper(work, ranges):

@@ -18,8 +18,10 @@ Constructions, both from one QR with the R-diagonal phase fix (Mezzadri,
 Notices AMS 54, 2007): scaling each column of Q by the phase of the
 matching R diagonal entry turns the QR of a Gaussian matrix into a Haar
 draw.  A batch is one block of a Monte Carlo chunk (`montecarlo`), which
-bounds its matrix entries, so QR, which holds about four copies of its
-input, runs on the whole batch at once.
+bounds its bytes, so QR, which holds about four copies of its input, runs
+on the whole batch at once.  The draw and the trace powers write into the
+arrays of a workspace (`_workspace`) when given one, so the blocks of a
+chunk reuse one allocation; without one they allocate their own.
 
   SO(m): QR of a real Gaussian matrix, where the phase is the sign; this
   gives Haar on O(m), and determinant -1 draws are pushed into SO(m) by
@@ -40,6 +42,7 @@ input, runs on the whole batch at once.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -67,12 +70,43 @@ def rng_for_sample(seed: int, index: int) -> SampleStream:
     return SampleStream(seed, index)
 
 
+def _workspace(G: GroupSpec, rows: int, pmax: int) -> dict[str, np.ndarray]:
+    """The arrays that the draws and trace powers of up to `rows` samples
+    write into, as views of one allocation: the "normals", the "stack" (Sp
+    only; SO writes its QR over the normals), the powers "power2" ..
+    "power<h>" that `trace_powers_batch` forms for traces up to g^pmax, and
+    its complex "traces".  A block of b <= rows samples uses the first b
+    rows of each."""
+    m, sp = G.matrix_size, G.family is Family.SP
+    entry = np.complex128 if sp else np.float64
+    shapes = {"normals": ((rows, 2, m, G.rank) if sp else (rows, m, m), np.float64)}
+    if sp:
+        shapes["stack"] = ((rows, m, m), entry)
+    for k in range(2, (pmax + 1) // 2 + 1):
+        shapes[f"power{k}"] = ((rows, m, m), entry)
+    shapes["traces"] = ((rows, pmax), np.complex128)
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in shapes.values()]
+    starts = np.cumsum([0] + [-(-size // 64) * 64 for size in sizes])  # whole cache lines each
+    memory = np.empty(starts[-1], np.uint8)
+    return {
+        name: memory[start : start + size].view(dtype).reshape(shape)
+        for (name, (shape, dtype)), start, size in zip(shapes.items(), starts, sizes)
+    }
+
+
+def _buffer(work, name, shape, dtype) -> np.ndarray:
+    """A new array of `shape`, or without one the first rows of the
+    workspace's array `name`."""
+    return np.empty(shape, dtype) if work is None else work[name][: shape[0]]
+
+
 #: serializes the row loop of `_normals` across threads
 _NORMALS_LOCK = threading.Lock()
 
 
-def _normals(streams, shape) -> np.ndarray:
-    """The next normals of each stream, stacked to (len(streams), *shape).
+def _normals(streams, shape, work=None) -> np.ndarray:
+    """The next normals of each stream, stacked to (len(streams), *shape),
+    in the normals of the workspace `work` when one is given.
 
     One Philox per call is re-keyed to each stream in turn (counter zero,
     empty buffer), skips the normals that stream already gave, and fills
@@ -87,7 +121,7 @@ def _normals(streams, shape) -> np.ndarray:
     rng = np.random.Generator(bitgen)
     state = bitgen.state
     key = state["state"]["key"]
-    out = np.empty((len(streams), *shape))
+    out = _buffer(work, "normals", (len(streams), *shape), np.float64)
     with _NORMALS_LOCK:
         for row, stream in zip(out, streams):
             key[0] = stream.seed & _MASK64
@@ -117,11 +151,11 @@ def _haar_qr(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _so_batch(m: int, streams) -> np.ndarray:
-    q = _haar_qr(_normals(streams, (m, m)))
+def _so_batch(m: int, streams, work) -> np.ndarray:
+    q = _haar_qr(_normals(streams, (m, m), work))
     neg = np.linalg.det(q) < 0
     if np.any(neg):
-        q[neg] = q[neg][:, :, [1, 0, *range(2, m)]]  # swap the first two columns
+        q[neg, :, 0], q[neg, :, 1] = q[neg, :, 1], q[neg, :, 0]  # swap the first two columns
     return q
 
 
@@ -135,31 +169,31 @@ def _fill_partners(src: np.ndarray, dst: np.ndarray) -> None:
     np.conj(src[:, :n], out=dst[:, n:])
 
 
-def _sp_batch(n: int, streams) -> np.ndarray:
+def _sp_batch(n: int, streams, work) -> np.ndarray:
     dim = 2 * n
-    z = _normals(streams, (2, dim, n))  # real parts, then imaginary parts
-    a = np.empty((len(streams), dim, dim), dtype=np.complex128)
+    z = _normals(streams, (2, dim, n), work)  # real parts, then imaginary parts
+    a = _buffer(work, "stack", (len(streams), dim, dim), np.complex128)
     v = a[:, :, 0::2]
     v.real = z[:, 0]
     v.imag = z[:, 1]
     del z
     _fill_partners(v, a[:, :, 1::2])  # [v_0, J conj v_0, v_1, J conj v_1, ...]
     _haar_qr(a)
-    g = np.empty_like(a)
-    g[:, :, :n] = a[:, :, 0::2]  # the c_k
-    _fill_partners(g[:, :, :n], g[:, :, n:])
-    return g
+    a[:, :, :n] = a[:, :, 0::2]  # the c_k; numpy copies the overlapping source first
+    _fill_partners(a[:, :, :n], a[:, :, n:])
+    return a
 
 
-def sample_matrices(G: GroupSpec, streams) -> np.ndarray:
+def sample_matrices(G: GroupSpec, streams, *, work=None) -> np.ndarray:
     """Draw one matrix per stream handle, stacked on axis 0; a handle drawn
     from again continues its stream, which is how redraws stay
-    deterministic."""
+    deterministic.  Given a workspace `work` (`_workspace`), the draw is
+    written into its arrays, and the next draw into it overwrites it."""
     if G.is_stable:
         raise ValueError("cannot sample the stable group; pick a finite rank")
     if G.family is Family.SP:
-        return _sp_batch(G.rank, streams)
-    return _so_batch(G.matrix_size, streams)
+        return _sp_batch(G.rank, streams, work)
+    return _so_batch(G.matrix_size, streams, work)
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +253,10 @@ def weyl_character_batch(
 # batched trace powers
 
 
-def trace_powers_batch(mats: np.ndarray, pmax: int) -> tuple[np.ndarray, np.ndarray]:
+def trace_powers_batch(mats: np.ndarray, pmax: int, *, work=None) -> tuple[np.ndarray, np.ndarray]:
     """Traces of g^i for i = 1..pmax over a stack; returns (real traces of
-    shape (batch, pmax), worst imaginary residual per matrix).
+    shape (batch, pmax), worst imaginary residual per matrix).  Given a
+    workspace `work`, the powers and the complex traces are its arrays.
 
     Only g, g^2, ..., g^h with h = ceil(pmax/2) are formed by matrix
     products.  A higher power k takes tr g^k = tr(g^h g^(k-h)), the sum of
@@ -233,9 +268,10 @@ def trace_powers_batch(mats: np.ndarray, pmax: int) -> tuple[np.ndarray, np.ndar
         return np.zeros((b, 0)), np.zeros(b)
     h = (pmax + 1) // 2
     powers = [mats]
-    for _ in range(1, h):
-        powers.append(powers[-1] @ mats)
-    out = np.empty((b, pmax), dtype=np.complex128)  # column k: tr g^(k+1)
+    for k in range(2, h + 1):
+        power = _buffer(work, f"power{k}", mats.shape, mats.dtype)
+        powers.append(np.matmul(powers[-1], mats, out=power))
+    out = _buffer(work, "traces", (b, pmax), np.complex128)  # column k: tr g^(k+1)
     for k, power in enumerate(powers):
         out[:, k] = np.trace(power, axis1=1, axis2=2)
     for k in range(h, pmax):

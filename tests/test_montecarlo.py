@@ -228,7 +228,8 @@ def test_every_observable_shape_is_pinned_bit_for_bit(G):
 
 
 # The same observables over Sp(40), 700 samples at seed 2026.  Its blocks
-# hold 2^19 // 40^2 = 327 matrices, so the chunk runs as 327 + 327 + 46.
+# hold 2^20 // (16 * 40^2) = 40 matrices, so the chunk runs as 17 blocks of
+# 40 and a partial one of 20.
 _PINNED_SP40 = [
     ("0x1.0000000000000p+0", "0x0.0p+0"),
     ("-0x1.01cfc8fa50f92p+0", "0x1.9923d0bb26900p-4"),
@@ -248,19 +249,52 @@ def test_partial_blocks_are_pinned_bit_for_bit():
 
 
 def test_sample_values_holds_one_block_at_a_time():
-    """A worker draws and evaluates a chunk in blocks: over Sp(80) a block
-    is 2^19 // 80^2 = 81 complex 80 x 80 matrices, and 300 samples peak at
-    a few such blocks (QR holds about four copies of its input), not at a
-    few copies of all 300 matrices."""
-    G = GroupSpec.sp(40)
-    block_bytes = (2**19 // G.matrix_size**2) * G.matrix_size**2 * 16
+    """A worker draws and evaluates a chunk in blocks: over Sp(20) a block
+    is 2^20 // (16 * 20^2) = 163 complex 20 x 20 matrices, about 1 MB, and
+    a 4096-sample chunk peaks at a few such blocks (the workspace's normals
+    and stack, QR's three temporaries, the chunk's stream handles: 6.1 MB),
+    not at a few copies of all its matrices (27.9 MB in blocks of 1024)."""
+    G = GroupSpec.sp(10)
+    block_bytes = montecarlo._block_rows(G) * G.matrix_size**2 * 16
+    assert block_bytes <= montecarlo._BLOCK_BYTES
     tracemalloc.start()
     try:
-        sample_values(G, [TraceProductObservable(P("1"))], 300, 8, threads=1)
+        sample_values(G, [TraceProductObservable(P("1"))], 4096, 8, threads=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * block_bytes
+    assert peak <= 8 * block_bytes
+
+
+_BLOCK_CELLS = [
+    (GroupSpec.sp(10), [TraceProductObservable(P("1,1,1,1")), PhiObservable(_PIN_PHI)]),
+    (
+        GroupSpec.so_even(4),
+        [
+            TwistedObservable(P("2,1"), P("2,1")),
+            TwistedObservable(P("1,1,1,1"), P("1,1,1,1")),
+            CharacterProductObservable(P("2"), P("1,1")),
+            CharacterProductObservable(P("1,1,1,1"), P("1,1,1,1")),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("G, observables", _BLOCK_CELLS, ids=["sp20", "so8"])
+def test_block_size_changes_no_bit(G, observables, monkeypatch):
+    """Blocks of 1 and 7 samples give every value of the default blocks bit
+    for bit: 1100 samples end in a partial block at 7 rows and at the
+    default, which must not read a previous block's rows."""
+
+    def hexes():
+        values = sample_values(G, observables, 1100, seed=3, threads=1)
+        return [[v.hex() for v in row] for row in values.tolist()]
+
+    assert 1100 % montecarlo._block_rows(G) != 0
+    default = hexes()
+    for rows in (1, 7):
+        monkeypatch.setattr(montecarlo, "_block_rows", lambda G: rows)
+        assert hexes() == default, rows
 
 
 def test_too_few_samples():
@@ -367,6 +401,33 @@ def test_forced_redraws_are_pinned(G, obs, tolerance, block_sum, monkeypatch):
     b = sample_values(G, [obs], 9000, seed=5, threads=2)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, default)
+
+
+def test_forced_redraws_in_small_blocks_are_pinned(monkeypatch):
+    """The first forced-redraw cell in blocks of 7 samples: a redraw lands
+    in new arrays, not in the workspace that holds the block's matrices,
+    so the block sum is the pinned one."""
+    G, obs, (name, forcing, _), block_sum = FORCED_REDRAWS[0].values
+    tol = dataclasses.replace(DEFAULT_TOLERANCES, **{name: forcing})
+    monkeypatch.setattr(config, "DEFAULT_TOLERANCES", tol)
+    monkeypatch.setattr(montecarlo, "_block_rows", lambda G: 7)
+    block, redrawn = _chunk_block(G, [obs], 5, 100, 1100, obs.max_power(), [])
+    assert redrawn > 0
+    assert float(block.sum()).hex() == block_sum
+
+
+def test_default_workers_follow_the_affinity_mask(monkeypatch):
+    """Without `threads`, a process allowed one CPU runs a three-chunk call
+    without a thread pool, whatever the machine's CPU count."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a thread pool on one usable CPU")
+
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+    values = sample_values(GroupSpec.so_even(3), [TraceProductObservable(P("2"))], 9000, seed=42)
+    assert values.shape == (1, 9000)
 
 
 def test_names_the_bench_tracer_rebinds_exist():
