@@ -7,10 +7,10 @@ of the group evaluated at g; they are computed by two genuinely different
 routes that the verification mode plays against each other:
 
   route A expands p_lam = sum_nu chi_nu(lam) s_nu and restricts each s_nu
-  to the group: the coefficient of chi_gamma is the Littlewood-Richardson
-  sum of c^nu_{gamma, beta} over the family's paired partitions beta of the
-  complementary weight (`lr.paired_partitions`, shared with branching), so
-  the average is sum_beta sum_nu c^nu_{gamma, beta} chi_nu(lam);
+  to the group of matrix size m: chi_gamma gets c^nu_{delta, beta} from
+  each paired partition beta of the complementary weight
+  (`lr.paired_partitions`, shared with branching) and each universal label
+  delta that King's rule (`characters.king_rule`) folds to +-gamma;
 
   route B splits the multiset lam into a piece matched against the twisting
   character and a remainder fed back to the plain average.
@@ -19,11 +19,11 @@ No extra sign prefactors appear in either route: for Sp the even
 multiplicities of beta turn the matching count into its signed version, and
 route B inherits the sign through the plain average of the remainder.
 
-These closed forms hold where `GroupSpec.closed_form_holds` says so, and
-route B refuses the other cells with StableRangeError.  Route A holds at
-every rank once King's rule (`characters.king_rule`) folds each universal
-label of its sum and nu is cut at the matrix size.  `expect_twisted` is
-the one exact entry point; the plain average is its empty label.
+Route B holds where `GroupSpec.closed_form_holds` says so and refuses the
+other cells with StableRangeError.  Route A never reads that rule, so
+inside the range verification checks it; the stable group is m = 2|lam| + 1,
+where nothing folds or is cut.  `expect_twisted` is the one exact entry
+point; the plain average is its empty label.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ def _require_stable(G: GroupSpec, k: int, j: int) -> None:
         first = next(H for H in ranks if H.closed_form_holds(k, j))
         raise StableRangeError(
             f"{G} is below the stable range of this observable (|lambda| = {k}, "
-            f"|gamma| = {j}): its closed form holds from {first} on; "
-            "route A folds by King's rule there."
+            f"|gamma| = {j}): its closed form holds from {first} on; below that, "
+            "expect_twisted answers by route A, folded by King's rule."
         )
 
 
@@ -58,36 +58,32 @@ def _plain_average_stable(family: Family, lam: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def _multiplicities(family: Family, m: int | None, gamma: Partition, k: int) -> tuple:
+def _multiplicities(family: Family, m: int, gamma: Partition, k: int) -> tuple:
     """Coefficient of chi_gamma in each s_nu with |nu| = k, restricted to the
     group of matrix size m: sum of c^nu_{delta, beta} over the paired
     partitions beta and the universal labels delta that King's rule turns
-    into +-gamma, and nu only up to m rows.  m = None is the stable group,
-    where delta is gamma itself."""
-    if m is None:
-        labels = [(1, gamma)] if gamma.weight <= k else []
-    else:
-        labels = []
-        for w in range(k % 2, k + 1, 2):
-            for delta in partitions_of(w):
-                sign, label = king_rule(family, m, delta)
-                if sign and label == gamma:
-                    labels.append((sign, delta))
+    into +-gamma, so |delta| >= |gamma| (a fold only removes cells).  Only
+    delta, beta and nu with at most m rows are listed: s_nu vanishes in m
+    variables otherwise, and nu contains delta and beta."""
     mult: dict[Partition, int] = {}
-    for sign, delta in labels:
-        for beta in paired_partitions(family, k - delta.weight):
-            for nu, c in schur_product(delta, beta).items():
-                if m is None or nu.length <= m:
-                    mult[nu] = mult.get(nu, 0) + sign * c
+    for w in range(k, gamma.weight - 1, -2):
+        for delta in partitions_of(w, m):
+            sign, label = king_rule(family, m, delta)
+            if sign and label == gamma:
+                for beta in (b for b in paired_partitions(family, k - w) if b.length <= m):
+                    for nu, c in schur_product(delta, beta, m).items():
+                        mult[nu] = mult.get(nu, 0) + sign * c
     return tuple((nu, c) for nu, c in mult.items() if c)
 
 
 def expect_twisted_route_a(G: GroupSpec, gamma: Partition, lam: Partition) -> int:
     """Twisted average via the Littlewood-Richardson restriction of the
-    Schur expansion of p_lam, with King's rule below the closed form's
-    range, so it holds at every rank."""
+    Schur expansion of p_lam, folded by King's rule at the matrix size m:
+    one sum at every rank, which never reads the range rule.  The stable
+    group, like any m > 2|lam|, is m = 2|lam| + 1: nothing of weight
+    <= |lam| folds or is cut there."""
     k = lam.weight
-    m = None if G.closed_form_holds(k, gamma.weight) else G.matrix_size
+    m = 2 * k + 1 if G.is_stable else min(G.matrix_size, 2 * k + 1)
     return sum(c * character_value(nu, lam) for nu, c in _multiplicities(G.family, m, gamma, k))
 
 
@@ -100,7 +96,7 @@ def rains_short_label_sum(family: Family, m: int, lam: Partition) -> int:
     k = lam.weight
     labels = [b for b in paired_partitions(family, k) if b.length <= m]
     if family is not Family.SP:
-        labels += [b for b in partitions_of(k) if b.length == m and all(p % 2 for p in b)]
+        labels += [b for b in partitions_of(k, m) if b.length == m and all(p % 2 for p in b)]
     return sum(character_value(b, lam) for b in labels)
 
 
@@ -127,11 +123,11 @@ def expect_twisted(
     """Twisted average of chi^G_gamma(g) * prod_i tr(g^{lam_i}) over G.
 
     Inside `GroupSpec.closed_form_holds` route B is the production path, and
-    verify=True recomputes through route A.  Below it route A, with King's
-    rule, is the one exact route; verify=True then checks it against Rains'
-    short-label sum at gamma = 0 and raises StableRangeError for any other
-    label, which has no second route.  A disagreement raises
-    ConsistencyError.
+    verify=True recomputes through route A, which knows the rank, so the
+    range rule itself is checked.  Below it route A is the one exact route;
+    verify=True then checks it against Rains' short-label sum at gamma = 0
+    and raises StableRangeError for any other label, which has no second
+    route.  A disagreement raises ConsistencyError.
 
     On SO(2n) both routes average the O(2n) character.  For a full-length
     label that is the mirror sum, which det maps to itself, so the SO(2n)

@@ -67,12 +67,13 @@ def _count_tableaux(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ..
     return fill(0)
 
 
-def schur_product(mu: Partition, nu: Partition) -> dict[Partition, int]:
-    """Full expansion of s_mu * s_nu, as an ordered map from partitions of
-    |mu| + |nu| to positive coefficients (canonical order)."""
+def schur_product(mu: Partition, nu: Partition, rows: int | None = None) -> dict[Partition, int]:
+    """Expansion of s_mu * s_nu, as an ordered map from partitions of
+    |mu| + |nu| to positive coefficients (canonical order); with `rows`,
+    only the terms with at most that many rows."""
     k = mu.weight + nu.weight
     out: dict[Partition, int] = {}
-    for lam in partitions_of(k):
+    for lam in partitions_of(k, rows):
         c = lr_coefficient(lam, mu, nu)
         if c:
             out[lam] = c

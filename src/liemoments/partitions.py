@@ -123,19 +123,22 @@ def sgn(lam: Partition) -> int:
     return -1 if (lam.weight - lam.length) % 2 else 1
 
 
-def _descending_parts(total: int, largest: int) -> Iterator[tuple[int, ...]]:
+def _descending_parts(total: int, largest: int, rows: int) -> Iterator[tuple[int, ...]]:
     if total == 0:
         yield ()
         return
     for first in range(min(total, largest), 0, -1):
-        for rest in _descending_parts(total - first, first):
+        if first * rows < total:
+            return  # the remaining rows cannot hold the rest
+        for rest in _descending_parts(total - first, first, rows - 1):
             yield (first,) + rest
 
 
-def partitions_of(k: int) -> list[Partition]:
-    """All partitions of k in canonical (reverse lexicographic) order.
+def partitions_of(k: int, rows: int | None = None) -> list[Partition]:
+    """All partitions of k in canonical (reverse lexicographic) order, as a
+    new list; with `rows`, only those with at most that many parts.
 
-    The first entry is (k) and the last is (1,...,1).  Guarded by
+    The first entry is (k) and the last is (1,...,1).  Guarded on k by
     `ENUMERATION_BOUND` because callers usually enumerate in inner loops.
     """
     if k < 0:
@@ -144,7 +147,7 @@ def partitions_of(k: int) -> list[Partition]:
         raise ResourceBoundError(
             f"refusing to enumerate partitions of {k} (bound {ENUMERATION_BOUND})"
         )
-    return [Partition(p) for p in _descending_parts(k, k)]
+    return [Partition(p) for p in _descending_parts(k, k, k if rows is None else rows)]
 
 
 def even_partitions_of(k: int) -> list[Partition]:

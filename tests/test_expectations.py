@@ -4,9 +4,9 @@ from itertools import count
 
 import pytest
 import numpy as np
-from oracles import koike_terada_character, weyl_character, weyl_twisted_average
+from oracles import koike_terada_character, torus_average, weyl_character, weyl_twisted_average
 
-from liemoments import expectations
+from liemoments import expectations, lr
 from liemoments.characters import king_rule
 from liemoments.errors import ConsistencyError, StableRangeError
 from liemoments.expectations import (
@@ -144,6 +144,78 @@ def test_involution_cells_match_the_torus():
         if abs(want - value) > 1e-8:
             wrong.append((str(G), str(gamma), str(lam), value, want))
     assert not wrong, wrong[:5]
+
+
+# (group, gamma, lam) far below the range: route A lists only the nu with at
+# most m rows, so these cost what their answers need, not p(|lam|)
+_HEAVY_CELLS = [
+    (GroupSpec.so_even(2), "", [2] * 12),
+    (GroupSpec.so_even(2), "", [2] * 14),
+    (GroupSpec.so_even(3), "", [2] * 15),
+    (GroupSpec.so_even(2), "", [1] * 28),
+    (GroupSpec.sp(2), "1,1", [2] * 14),
+]
+
+
+def test_heavy_cells_below_the_range_match_the_torus():
+    for G, gamma, lam in _HEAVY_CELLS:
+        gamma, lam = P(gamma), Partition(lam)
+        value = expect_twisted(G, gamma, lam, verify=not gamma)
+        if gamma:
+            want = weyl_twisted_average(G.family, G.rank, gamma.parts, lam.parts)
+        else:
+            want = torus_average(G.family, G.rank, lam.parts)
+        assert value == pytest.approx(want, rel=1e-9), (str(G), str(gamma), str(lam))
+
+
+def test_route_a_work_follows_the_rank(monkeypatch):
+    # listing every nu of weight 24 would take 470,925 coefficients
+    calls = 0
+    coefficient = lr.lr_coefficient
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return coefficient(*args)
+
+    monkeypatch.setattr(lr, "lr_coefficient", counted)
+    expectations._multiplicities.cache_clear()
+    assert expect_twisted_route_a(GroupSpec.so_even(2), P(""), Partition([2] * 12)) == 853776
+    assert 0 < calls < 50_000, calls
+
+
+def test_verify_checks_the_range_rule(monkeypatch):
+    """Admit Sp(2n), n <= 3, one step early (m = w - 2, j < k): route B
+    then answers with the stable value, and route A, which knows the rank,
+    must refuse each cell where that value is wrong."""
+    early = [
+        (GroupSpec.sp(n), gamma, lam)
+        for n in (1, 2, 3)
+        for k in range(2 * n + 3)
+        for j in range(k)
+        if k + j == 2 * n + 2
+        for lam in partitions_of(k)
+        for gamma in partitions_of(j)
+        if gamma.length <= n
+    ]
+    truth = [expect_twisted(*cell) for cell in early]
+    real = GroupSpec.closed_form_holds
+
+    def one_rank_early(G, k, j=0):
+        return real(G, k, j) or (
+            G.family is Family.SP and G.rank <= 3 and j < k and k + j == G.matrix_size + 2
+        )
+
+    monkeypatch.setattr(GroupSpec, "closed_form_holds", one_rank_early)
+    caught = 0
+    for cell, want in zip(early, truth):
+        if expect_twisted_route_b(*cell) == want:
+            assert expect_twisted(*cell, verify=True) == want
+        else:
+            with pytest.raises(ConsistencyError):
+                expect_twisted(*cell, verify=True)
+            caught += 1
+    assert (len(early), caught) == (116, 86)
 
 
 def test_involution_count_is_checked_under_verify(monkeypatch):

@@ -131,6 +131,16 @@ def test_schur_product_weights_and_positivity():
     assert total == comb(8, 4) * hook_dimension((3, 1)) * hook_dimension((2, 2))
 
 
+def test_schur_product_row_cap():
+    labels = [mu for w in range(5) for mu in partitions_of(w)]
+    for mu in labels:
+        for nu in labels:
+            full = schur_product(mu, nu)
+            for rows in range(mu.weight + nu.weight + 1):
+                capped = {lam: c for lam, c in full.items() if lam.length <= rows}
+                assert list(schur_product(mu, nu, rows).items()) == list(capped.items())
+
+
 def test_paired_partitions():
     # SO pairs with the partitions whose parts are all even, Sp with those
     # whose multiplicities are all even; conjugation swaps the two

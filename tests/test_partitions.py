@@ -79,6 +79,19 @@ def test_enumeration_bound():
     assert len(partitions_of(30)) == 5604
 
 
+def test_row_cap_keeps_canonical_order():
+    for k in range(13):
+        full = partitions_of(k)
+        for rows in range(k + 2):
+            assert partitions_of(k, rows) == [p for p in full if p.length <= rows], (k, rows)
+
+
+def test_enumeration_returns_a_fresh_list():
+    first = partitions_of(4)
+    first.append(P("9"))
+    assert partitions_of(4) == [P("4"), P("3,1"), P("2,2"), P("2,1,1"), P("1,1,1,1")]
+
+
 def test_even_partitions():
     assert [p.parts for p in even_partitions_of(4)] == [(4,), (2, 2)]
     for k in (0, 2, 4, 6, 8, 10):
